@@ -347,8 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--witness-out", metavar="FILE")
-    p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--fast-nondet", action="store_true")
+    p.add_argument("--threads", type=int, default=0,
+                   help="ignored: dk runs in one process")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_dk)
 
@@ -362,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--report", default="counterexample.digraph", metavar="FILE")
     p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--fast-nondet", action="store_true")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -9,9 +9,21 @@ the first feasible stratum is minimal by construction.
 
 Pruning (all exact, no completeness loss):
 
-* a row closing a directed cycle through already-assigned rows is rejected;
+* a stratum where G has an edge but G u I_k has fewer than 2 isolated
+  vertices is rejected before any search: a witness with a CCE edge has an
+  arc, and the first and last vertices of a longest path in it have no
+  in-neighbor and no out-neighbor respectively, so both are isolated;
+* rows are generated as the ascending submasks of the allowed mask, which
+  leaves out the vertex itself and every vertex that already reaches it,
+  so no generated row closes a directed cycle;
+* a vertex with a target edge needs a common out-neighbor with each of its
+  neighbors, so its empty row is skipped;
 * a target edge whose endpoints' rows are both assigned without a common
   out-neighbor is dead (out rows never change once assigned);
+* a target edge without a common in-neighbor is dead once no unassigned
+  vertex can feed both endpoints: only unassigned rows add in-neighbors,
+  and neither an endpoint (a loop) nor an endpoint's out-neighbor (a
+  2-cycle) can feed both;
 * a target non-edge with a common out-neighbor and a common in-neighbor is
   already violated (in-neighborhoods only grow);
 * a target non-edge with a common out-neighbor but no common in-neighbor
@@ -21,11 +33,11 @@ Pruning (all exact, no completeness loss):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from .caps import ResourceCapError, resolved_cap
 from .digraph import Digraph, bits_of
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, isolated_vertices
 
 
 @dataclass(frozen=True)
@@ -68,38 +80,38 @@ def search_realization(g: SimpleGraph, k: int) -> Optional[Digraph]:
 
     One stratum of the dk search; exposed so tests can re-run the k-1
     stratum and assert minimality directly.
+
+    If g has an edge, every witness has an arc.  A longest path then starts
+    at a vertex with no in-neighbor (a longer path or a cycle otherwise) and
+    ends at a vertex with no out-neighbor; both lack a common enemy or a
+    common prey with anyone, so g u I_k needs at least 2 isolated vertices.
     """
     n = g.n
+    if g.edges and len(isolated_vertices(g)) + k < 2:
+        return None
     total = n + k
+    full = (1 << total) - 1
     target = list(g.adj_masks) + [0] * k
     outs = [0] * total
     ins = [0] * total
     forbidden: List[int] = []       # two-bit masks no later row may cover
 
-    def closes_cycle(v: int, row: int) -> bool:
-        stack = list(bits_of(row))
-        seen = 0
-        while stack:
-            w = stack.pop()
-            if w == v:
-                return True
-            bit = 1 << w
-            if seen & bit:
-                continue
-            seen |= bit
-            stack.extend(bits_of(outs[w]))
-        return False
+    edge_pairs = [(x, y, (1 << x) | (1 << y)) for x, y in g.edges]
 
     def place(v: int) -> bool:
         if v == total:
             return _cce_matches(total, outs, ins, target)
+        unassigned = full >> v << v
+        for x, y, pair in edge_pairs:
+            if not (ins[x] & ins[y]
+                    or unassigned & ~(pair | outs[x] | outs[y])):
+                return False            # no vertex left to feed both
         self_bit = 1 << v
         n_forbidden = len(forbidden)
-        for row in range(1 << total):
-            if row & self_bit:
-                continue
-            if row & ins[v] or closes_cycle(v, row):
-                continue
+        rows = _submasks(full & ~(self_bit | _ancestors(v, ins)))
+        if target[v]:
+            next(rows)                  # the empty row shares no prey
+        for row in rows:
             ok = True
             for pm in forbidden:
                 if row & pm == pm:
@@ -146,6 +158,28 @@ def search_realization(g: SimpleGraph, k: int) -> Optional[Digraph]:
             [(u, w) for u in range(total) for w in bits_of(outs[u])],
         )
     return None
+
+
+def _ancestors(v: int, ins: Sequence[int]) -> int:
+    """Mask of the vertices with a directed path to v."""
+    found = frontier = ins[v]
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = ins[low.bit_length() - 1] & ~found
+        found |= new
+        frontier |= new
+    return found
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask in ascending order, starting with 0."""
+    row = 0
+    while True:
+        yield row
+        if row == mask:
+            return
+        row = (row - mask) & mask
 
 
 def _cce_matches(

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from ccelab import (
@@ -10,6 +13,7 @@ from ccelab import (
     is_cce_of_acyclic,
 )
 from ccelab.dk import search_realization
+from ccelab.graphs import graph_from_canonical
 
 import oracles
 
@@ -86,3 +90,36 @@ def test_witness_deterministic():
     a = double_competition_number(k2, 2)
     b = double_competition_number(k2, 3)
     assert a == b
+
+
+def test_too_few_isolated_vertices_rejected():
+    # a DAG with an arc has a source and a sink, both isolated in its CCE
+    # graph; 3K2 u I_1 has one isolated vertex
+    three_k2 = SimpleGraph(6, [(0, 1), (2, 3), (4, 5)])
+    assert search_realization(three_k2, 1) is None
+
+
+def test_k2_plus_isolated_strata():
+    g = SimpleGraph(3, [(0, 1)])
+    assert search_realization(g, 0) is None
+    assert not oracles.naive_stratum_feasible(g, 0)
+    got = search_realization(g, 1)
+    assert got is not None and _witness_is_valid(g, 1, got)
+    assert oracles.naive_stratum_feasible(g, 1)
+
+
+def test_golden_witnesses():
+    # dk(G, 6 - n) and its witness for every isomorphism class with
+    # 1 <= n <= 6, recorded from the search before its isolated-vertex bound
+    # and row prunes; exact prunes must reproduce every entry
+    golden = json.loads((Path(__file__).parent / "dk_golden.json").read_text())
+    assert len(golden) == 208
+    for entry in golden:
+        g = graph_from_canonical(entry["n"], entry["canon"])
+        result = double_competition_number(g, entry["k_max"])
+        if entry["k"] is None:
+            assert result is None, entry
+            continue
+        assert result is not None and result.k == entry["k"], entry
+        assert result.witness.arcs == {tuple(a) for a in entry["arcs"]}, entry
+        assert _witness_is_valid(g, result.k, result.witness)
