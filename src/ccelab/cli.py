@@ -361,8 +361,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--report", default="counterexample.digraph", metavar="FILE")
-    p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--progress", action="store_true")
+    p.add_argument("--threads", type=int, default=0,
+                   help="worker processes for loopless, acyclic and props "
+                        "(0 = one per CPU); main0 and kr run in one process")
+    p.add_argument("--progress", action="store_true",
+                   help="print finished chunks to stderr (loopless, acyclic "
+                        "and props only)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -370,7 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", type=int, choices=[1, 2, 3], required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=int, default=0,
+                   help="ignored: explore runs in one process")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_explore)
 

@@ -7,7 +7,7 @@ Vertex labels beyond plain indices belong to the I/O layer, not here.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Tuple
+from typing import FrozenSet, Iterable, Iterator, Sequence, Tuple
 
 Arc = Tuple[int, int]
 
@@ -25,6 +25,28 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Every submask of ``mask`` in ascending order, starting with 0."""
+    row = 0
+    while True:
+        yield row
+        if row == mask:
+            return
+        row = (row - mask) & mask
+
+
+def ancestors(v: int, ins: Sequence[int]) -> int:
+    """Mask of the vertices with a directed path to v, given in-rows."""
+    found = frontier = ins[v]
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = ins[low.bit_length() - 1] & ~found
+        found |= new
+        frontier |= new
+    return found
 
 
 class Digraph:

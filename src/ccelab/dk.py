@@ -33,10 +33,10 @@ Pruning (all exact, no completeness loss):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .caps import ResourceCapError, resolved_cap
-from .digraph import Digraph, bits_of
+from .digraph import Digraph, ancestors, bits_of, submasks
 from .graphs import SimpleGraph, isolated_vertices
 
 
@@ -108,7 +108,7 @@ def search_realization(g: SimpleGraph, k: int) -> Optional[Digraph]:
                 return False            # no vertex left to feed both
         self_bit = 1 << v
         n_forbidden = len(forbidden)
-        rows = _submasks(full & ~(self_bit | _ancestors(v, ins)))
+        rows = submasks(full & ~(self_bit | ancestors(v, ins)))
         if target[v]:
             next(rows)                  # the empty row shares no prey
         for row in rows:
@@ -158,28 +158,6 @@ def search_realization(g: SimpleGraph, k: int) -> Optional[Digraph]:
             [(u, w) for u in range(total) for w in bits_of(outs[u])],
         )
     return None
-
-
-def _ancestors(v: int, ins: Sequence[int]) -> int:
-    """Mask of the vertices with a directed path to v."""
-    found = frontier = ins[v]
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = ins[low.bit_length() - 1] & ~found
-        found |= new
-        frontier |= new
-    return found
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    """Every submask of mask in ascending order, starting with 0."""
-    row = 0
-    while True:
-        yield row
-        if row == mask:
-            return
-        row = (row - mask) & mask
 
 
 def _cce_matches(

@@ -1,10 +1,9 @@
 """Exhaustive enumeration of labeled digraphs at small n, and the
 theorem-verification sweeps built on top of it.
 
-Enumeration is labeled (no isomorphism reduction) in ascending arc-bitmask
-order, arc (u, v) <-> bit u*n + v.  Sweeps that scan a whole mask range
-never stop early, so the outcome - including the least-mask counterexample,
-were one ever found - is identical for any worker count.
+Enumeration is labeled (no isomorphism reduction), arc (u, v) <-> bit
+u*n + v.  Sweeps never stop early, so the outcome - including the least-mask
+counterexample, were one ever found - is identical for any worker count.
 
 The heavy sweeps work on raw masks and neighborhood rows; Digraph objects
 are only materialized for witnesses and reports.  Mask-level logic is
@@ -17,10 +16,10 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .caps import CAP_ENV_VAR, ResourceCapError, resolved_cap
-from .digraph import Digraph
+from .digraph import Digraph, ancestors, submasks
 from .graphs import (
     SimpleGraph,
     canonical_form,
@@ -118,31 +117,12 @@ def _transpose_tables(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tabs)
 
 
-def _rows_of(mask: int, n: int, nm: int) -> List[int]:
-    return [(mask >> (v * n)) & nm for v in range(n)]
-
-
 def _in_rows_of(out_rows: Sequence[int], n: int, nm: int) -> List[int]:
     tabs = _transpose_tables(n)
     trans = 0
     for u in range(n):
         trans |= tabs[u][out_rows[u]]
     return [(trans >> (v * n)) & nm for v in range(n)]
-
-
-def _rows_acyclic(n: int, out_rows: Sequence[int]) -> bool:
-    alive = (1 << n) - 1
-    removed = True
-    while alive and removed:
-        removed = False
-        m = alive
-        while m:
-            low = m & -m
-            m ^= low
-            if not (out_rows[low.bit_length() - 1] & alive):
-                alive ^= low
-                removed = True
-    return alive == 0
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -169,41 +149,65 @@ def enumerate_digraphs(
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     _check_cap(n, filt.acyclic, cap)
-    return _enumerate(filt)
+    return _enumerate(filt, cap)
 
 
-def _enumerate(filt: EnumerationFilter) -> Iterator[Digraph]:
+def _enumerate(filt: EnumerationFilter, cap: Optional[int]) -> Iterator[Digraph]:
     n = filt.n
-    nm = (1 << n) - 1
-    if filt.loopless or filt.acyclic:
-        total = _loopless_mask_count(n)
-        for c in range(total):
-            mask = loopless_mask_at(n, c)
-            if filt.acyclic and not _rows_acyclic(n, _rows_of(mask, n, nm)):
-                continue
-            yield Digraph.from_arc_mask(n, mask)
+    if filt.acyclic:
+        masks = dag_masks(n, cap)
+    elif filt.loopless:
+        masks = (loopless_mask_at(n, c) for c in range(_loopless_mask_count(n)))
     else:
-        for mask in range(1 << (n * n)):
-            yield Digraph.from_arc_mask(n, mask)
+        masks = range(1 << (n * n))
+    for mask in masks:
+        yield Digraph.from_arc_mask(n, mask)
 
 
-_DAG_MASK_CACHE: Dict[int, Tuple[int, ...]] = {}
+def _dag_rows(
+    n: int, first_rows: Optional[Iterable[int]] = None
+) -> Iterator[Tuple[int, List[int], List[int]]]:
+    """Every labeled DAG on n vertices as (arc mask, out-rows, in-rows).
+
+    Out-rows are assigned in vertex order.  Vertex v's row walks the
+    ascending submasks of the vertices that do not reach v (vertex 0's walks
+    first_rows instead, when given), so every branch ends in a DAG and no
+    DAG comes twice.  The order is not by mask.  The yielded lists are
+    reused: copy them to keep them.
+    """
+    if n == 0:
+        yield 0, [], []
+        return
+    full = (1 << n) - 1
+    out, ins, masks = [0] * n, [0] * n, [0] * (n + 1)
+    # rows[v] iterates v's candidate rows; v >= 1 is set on each descent
+    rows = [submasks(full & ~1) if first_rows is None else iter(first_rows)] * n
+    v = 0
+    while v >= 0:
+        row = next(rows[v], None)
+        bit = 1 << v
+        flip = out[v] ^ (0 if row is None else row)
+        while flip:                 # in-rows follow the change of v's row
+            low = flip & -flip
+            ins[low.bit_length() - 1] ^= bit
+            flip ^= low
+        if row is None:
+            out[v] = 0
+            v -= 1
+            continue
+        out[v] = row
+        masks[v + 1] = masks[v] | row << (v * n)
+        if v == n - 1:
+            yield masks[n], out, ins
+        else:
+            v += 1
+            rows[v] = submasks(full & ~(1 << v | ancestors(v, ins)))
 
 
 def dag_masks(n: int, cap: Optional[int] = None) -> Tuple[int, ...]:
-    """Arc masks of all labeled DAGs on n vertices, ascending (cached)."""
-    if n in _DAG_MASK_CACHE:
-        return _DAG_MASK_CACHE[n]
+    """Arc masks of all labeled DAGs on n vertices, ascending."""
     _check_cap(n, True, cap)
-    nm = (1 << n) - 1
-    out = []
-    for c in range(_loopless_mask_count(n)):
-        mask = loopless_mask_at(n, c)
-        if _rows_acyclic(n, _rows_of(mask, n, nm)):
-            out.append(mask)
-    result = tuple(out)
-    _DAG_MASK_CACHE[n] = result
-    return result
+    return tuple(sorted(mask for mask, _, _ in _dag_rows(n)))
 
 
 # -- derived adjacency at mask level -------------------------------------------
@@ -259,17 +263,19 @@ def _core_is_clique(n: int, adj: Sequence[int]) -> Tuple[int, bool]:
     return len(core), ok
 
 
-# -- generic chunked range scan -------------------------------------------------
+# -- generic chunked scan ------------------------------------------------------
 #
 # Each sweep provides a checker(n, p, ctx, mask, out_rows, in_rows) returning
-# None (digraph fine), _SKIP (not part of the swept population), or a tag
-# string (violation).  Chunks always scan their full range so the outcome is
-# worker-count independent; the merged counterexample is the least-mask one.
-
-_SKIP = object()
+# None (digraph fine) or a tag string (violation).  Chunks always scan their
+# whole share of the population, so the outcome is worker-count independent;
+# the merged counterexample is the least-mask one, taken by min.
 
 
-def _checker_thm_loopless(n, p, ctx, mask, out, inc):
+def _checker_core_clique(n, p, ctx, mask, out, inc):
+    """Under both foot conditions at p, a CCE core of at least p vertices
+    must be a clique beside at least 2 isolated vertices: the loopless
+    only-if direction, and all of the acyclic classification that can fail
+    (see verify_theorem_acyclic)."""
     subsets = ctx["subsets"]
     if _first_empty_foot(out, subsets) is not None:
         return None
@@ -283,29 +289,6 @@ def _checker_thm_loopless(n, p, ctx, mask, out, inc):
         return "CCE core is not a clique"
     if n - core < 2:
         return "CCE graph has fewer than 2 isolated vertices"
-    return None
-
-
-def _checker_thm_acyclic(n, p, ctx, mask, out, inc):
-    if not _rows_acyclic(n, out):
-        return _SKIP
-    subsets = ctx["subsets"]
-    if _first_empty_foot(out, subsets) is not None:
-        return None
-    if _first_empty_foot(inc, subsets) is not None:
-        return None
-    adj = _cce_adj(n, out, inc)
-    core, clique = _core_is_clique(n, adj)
-    if core == 0:
-        return None                                   # shape (a): I_q
-    if core >= p:
-        if not clique:
-            return "CCE core is not a clique"
-        if n - core < 2:
-            return "CCE graph has fewer than 2 isolated vertices"
-        return None                                   # shape (b)
-    # shape (c): core smaller than p; this DAG realizes core u I_q itself,
-    # so q >= dk(core) holds and there is nothing to check
     return None
 
 
@@ -396,8 +379,8 @@ def _checker_props(n, p, ctx, mask, out, inc):
 
 
 _CHECKERS: Dict[str, Callable] = {
-    "thm_loopless": _checker_thm_loopless,
-    "thm_acyclic": _checker_thm_acyclic,
+    "thm_loopless": _checker_core_clique,
+    "thm_acyclic": _checker_core_clique,
     "props": _checker_props,
 }
 
@@ -427,7 +410,6 @@ def _scan_range(
     if loopless_space:
         lo, hi, lo_bits, _ = _deposit_tables(n)
         lo_mask = (1 << lo_bits) - 1
-    checked = 0
     first: Optional[Tuple[int, str]] = None
     for c in range(start, stop):
         mask = (lo[c & lo_mask] | hi[c >> lo_bits]) if loopless_space else c
@@ -437,44 +419,58 @@ def _scan_range(
             trans |= tabs[u][out[u]]
         inc = [(trans >> s) & nm for s in row_shift]
         res = checker(n, p, ctx, mask, out, inc)
-        if res is _SKIP:
-            continue
-        checked += 1
         if res is not None and first is None:
+            first = (mask, res)
+    return stop - start, first
+
+
+def _scan_dags(
+    n: int, p: int, first_rows: Tuple[int, ...]
+) -> Tuple[int, Optional[Tuple[int, str]]]:
+    """Check the DAGs whose vertex-0 row is in first_rows; returns (checked,
+    least violation or None)."""
+    checker = _CHECKERS["thm_acyclic"]
+    ctx = _make_ctx("thm_acyclic", n, p)
+    checked = 0
+    first: Optional[Tuple[int, str]] = None
+    for mask, out, inc in _dag_rows(n, first_rows):
+        checked += 1
+        res = checker(n, p, ctx, mask, out, inc)
+        if res is not None and (first is None or mask < first[0]):
             first = (mask, res)
     return checked, first
 
 
+def _range_chunks(
+    sweep: str, n: int, p: int, total: int, loopless_space: bool, workers: int
+) -> List[tuple]:
+    chunks = 1 if total < (1 << 14) else max(workers * 4, 16)
+    return [
+        (sweep, n, p, total * i // chunks, total * (i + 1) // chunks, loopless_space)
+        for i in range(chunks)
+    ]
+
+
 def _run_scan(
-    sweep: str,
-    n: int,
-    p: int,
-    total: int,
-    loopless_space: bool,
+    scan: Callable[..., Tuple[int, Optional[Tuple[int, str]]]],
+    chunks: Sequence[tuple],
     workers: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> Tuple[int, Optional[Tuple[int, str]]]:
-    workers = max(1, workers)
-    chunks = 1 if total < (1 << 14) else max(workers * 4, 16)
-    bounds = [
-        (total * i // chunks, total * (i + 1) // chunks) for i in range(chunks)
-    ]
+    """Sum of checked and least violation over scan(*chunk) for every chunk."""
     results = []
-    if workers == 1:
-        for i, (a, b) in enumerate(bounds):
-            results.append(_scan_range(sweep, n, p, a, b, loopless_space))
+    if workers <= 1:
+        for i, args in enumerate(chunks):
+            results.append(scan(*args))
             if progress:
-                progress(i + 1, chunks)
+                progress(i + 1, len(chunks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_scan_range, sweep, n, p, a, b, loopless_space)
-                for (a, b) in bounds
-            ]
+            futures = [pool.submit(scan, *args) for args in chunks]
             for i, fut in enumerate(futures):
                 results.append(fut.result())
                 if progress:
-                    progress(i + 1, chunks)
+                    progress(i + 1, len(chunks))
     checked = sum(r[0] for r in results)
     violations = [r[1] for r in results if r[1] is not None]
     first = min(violations) if violations else None
@@ -501,9 +497,10 @@ def verify_theorem_loopless(
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     _check_cap(n, False, cap)
-    checked, first = _run_scan(
-        "thm_loopless", n, p, _loopless_mask_count(n), True, workers, progress
+    chunks = _range_chunks(
+        "thm_loopless", n, p, _loopless_mask_count(n), True, workers
     )
+    checked, first = _run_scan(_scan_range, chunks, workers, progress)
     if first is not None:
         return SweepOutcome(checked, (Digraph.from_arc_mask(n, first[0]), first[1]))
     ce = _verify_witnesses(p, n)
@@ -547,9 +544,9 @@ def verify_theorem_acyclic(
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     _check_cap(n, True, cap)
-    checked, first = _run_scan(
-        "thm_acyclic", n, p, _loopless_mask_count(n), True, workers, progress
-    )
+    # one chunk per vertex-0 row, the empty row (most DAGs below it) first
+    chunks = [(n, p, (row,)) for row in submasks(((1 << n) - 1) & ~1)]
+    checked, first = _run_scan(_scan_dags, chunks, workers, progress)
     if first is not None:
         return SweepOutcome(checked, (Digraph.from_arc_mask(n, first[0]), first[1]))
     return SweepOutcome(checked)
@@ -693,9 +690,8 @@ def verify_theorem_props(
     lemma over every (T, U) pair, and the clique proposition at p in {2, 3}.
     """
     _check_cap(n, False, cap)
-    checked, first = _run_scan(
-        "props", n, 0, 1 << (n * n), False, workers, progress
-    )
+    chunks = _range_chunks("props", n, 0, 1 << (n * n), False, workers)
+    checked, first = _run_scan(_scan_range, chunks, workers, progress)
     if first is not None:
         return SweepOutcome(checked, (Digraph.from_arc_mask(n, first[0]), first[1]))
     return SweepOutcome(checked)

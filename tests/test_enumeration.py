@@ -7,6 +7,7 @@ from ccelab import (
     Digraph,
     EnumerationFilter,
     ResourceCapError,
+    SweepOutcome,
     dag_masks,
     enumerate_digraphs,
     explore_open_problem,
@@ -17,7 +18,13 @@ from ccelab import (
     verify_theorem_props,
 )
 from ccelab.caps import CAP_ENV_VAR
-from ccelab.enumeration import _first_empty_foot, _first_empty_head, _poset_masks
+from ccelab.enumeration import (
+    _CHECKERS,
+    _dag_rows,
+    _first_empty_foot,
+    _first_empty_head,
+    _poset_masks,
+)
 from ccelab.conditions import condition_violation
 
 import oracles
@@ -39,8 +46,17 @@ def test_dag_counts_match_known_sequence(n):
 
 
 def test_dag_masks_match_permutation_oracle():
-    for n in range(5):
-        assert set(dag_masks(n)) == set(oracles.dag_mask_set(n))
+    for n in range(6):
+        masks = dag_masks(n)
+        assert list(masks) == sorted(set(masks))        # ascending, unique
+        assert set(masks) == oracles.dag_mask_set(n)
+
+
+def test_generated_dag_rows_match_their_masks():
+    for n in range(6):
+        for mask, out, inc in _dag_rows(n):
+            d = Digraph.from_arc_mask(n, mask)
+            assert (tuple(out), tuple(inc)) == (d.out_masks, d.in_masks)
 
 
 def test_enumeration_order_and_uniqueness():
@@ -139,8 +155,24 @@ def test_verify_props_small():
 def test_sweeps_deterministic_across_worker_counts():
     for workers in (1, 2, 3):
         assert verify_theorem_loopless(2, 4, workers=workers) == verify_theorem_loopless(2, 4)
-        assert verify_theorem_acyclic(2, 4, workers=workers) == verify_theorem_acyclic(2, 4)
+        for p in (2, 3):
+            outcome = verify_theorem_acyclic(p, 5, workers=workers)
+            assert outcome == SweepOutcome(DAG_COUNTS[5])
     assert verify_theorem_props(3, workers=2) == verify_theorem_props(3)
+
+
+def test_acyclic_counterexample_is_least_mask(monkeypatch):
+    def flag_three_arcs(n, p, ctx, mask, out, inc):
+        return "at least 3 arcs" if bin(mask).count("1") >= 3 else None
+
+    monkeypatch.setitem(_CHECKERS, "thm_acyclic", flag_three_arcs)
+    for n in (3, 4, 5):
+        outcome = verify_theorem_acyclic(2, n, workers=1)
+        least = next(m for m in dag_masks(n) if bin(m).count("1") >= 3)
+        assert outcome.checked == DAG_COUNTS[n]
+        assert outcome.counterexample == (
+            Digraph.from_arc_mask(n, least), "at least 3 arcs"
+        )
 
 
 def test_verify_rejects_bad_p():
