@@ -54,13 +54,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CAP = 4
 
-_CONDITIONS = {
-    "C": ConditionKind.C,
-    "Cp": ConditionKind.C_PRIME,
-    "Cs": ConditionKind.C_STAR,
-    "Csp": ConditionKind.C_STAR_PRIME,
-}
-
 _DERIVES = {
     "competition": competition_graph,
     "cce": cce_graph,
@@ -83,15 +76,6 @@ def _workers(args) -> int:
     if threads and threads > 0:
         return threads
     return os.cpu_count() or 1
-
-
-def _condition_label(flag: str, p: int) -> str:
-    return {
-        "C": f"C({p})",
-        "Cp": f"C'({p})",
-        "Cs": f"C*({p})",
-        "Csp": f"C*'({p})",
-    }[flag]
 
 
 def _shape_label(g: SimpleGraph) -> str:
@@ -124,8 +108,9 @@ def _cmd_derive(args) -> int:
 
 def _cmd_check(args) -> int:
     d = parse_digraph(_read(args.infile))
-    report = satisfies_condition(d, _CONDITIONS[args.condition], args.p)
-    label = _condition_label(args.condition, args.p)
+    kind = ConditionKind(args.condition)
+    report = satisfies_condition(d, kind, args.p)
+    label = kind.label(args.p)
     if args.json:
         sys.stdout.write(
             dumps({
@@ -323,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("check", help="check one condition at one level p")
-    p.add_argument("--condition", choices=["C", "Cp", "Cs", "Csp"], required=True)
+    p.add_argument("--condition", choices=[k.value for k in ConditionKind],
+                   required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--json", action="store_true")

@@ -28,13 +28,13 @@ class ConditionKind(enum.Enum):
     C_STAR = "Cs"            # head sets of out-neighborhoods
     C_STAR_PRIME = "Csp"     # head sets of in-neighborhoods
 
-    @property
-    def display(self) -> str:
+    def label(self, p: int) -> str:
+        """The condition's name at level p, e.g. C'(3)."""
         return {
-            ConditionKind.C: "C(p)",
-            ConditionKind.C_PRIME: "C'(p)",
-            ConditionKind.C_STAR: "C*(p)",
-            ConditionKind.C_STAR_PRIME: "C*'(p)",
+            ConditionKind.C: f"C({p})",
+            ConditionKind.C_PRIME: f"C'({p})",
+            ConditionKind.C_STAR: f"C*({p})",
+            ConditionKind.C_STAR_PRIME: f"C*'({p})",
         }[self]
 
     @property
@@ -115,30 +115,49 @@ def head_set_minus(d: Digraph, vertices: Iterable[int]) -> FrozenSet[int]:
     return frozenset(_head_members(d.in_masks, members))
 
 
+def first_empty_foot(
+    masks: Sequence[int], subsets: Iterable[Sequence[int]]
+) -> Optional[Sequence[int]]:
+    """First of the given subsets whose foot set is empty, or None."""
+    for subset in subsets:
+        inter = masks[subset[0]]
+        for v in subset[1:]:
+            inter &= masks[v]
+        for x in subset:
+            if masks[x] == inter:
+                break
+        else:
+            return subset
+    return None
+
+
+def first_empty_head(
+    masks: Sequence[int], subsets: Iterable[Sequence[int]]
+) -> Optional[Sequence[int]]:
+    """First of the given subsets whose head set is empty, or None."""
+    for subset in subsets:
+        union = 0
+        for v in subset:
+            union |= masks[v]
+        for x in subset:
+            if masks[x] == union:
+                break
+        else:
+            return subset
+    return None
+
+
 def condition_violation(
     masks: Sequence[int], n: int, p: int, use_head: bool
 ) -> Optional[Tuple[int, ...]]:
     """First p-subset (lexicographic) whose foot/head set is empty, or None.
 
-    Mask-level core shared by satisfies_condition and the enumeration
-    sweeps; `masks` is the out- or in-neighborhood table.
+    `masks` is the out- or in-neighborhood table.  The enumeration sweeps
+    call first_empty_foot / first_empty_head directly with their subsets
+    computed once per sweep.
     """
-    if use_head:
-        for subset in itertools.combinations(range(n), p):
-            union = 0
-            for v in subset:
-                union |= masks[v]
-            if not any(masks[x] == union for x in subset):
-                return subset
-    else:
-        for subset in itertools.combinations(range(n), p):
-            it = iter(subset)
-            inter = masks[next(it)]
-            for v in it:
-                inter &= masks[v]
-            if not any(masks[x] == inter for x in subset):
-                return subset
-    return None
+    first_empty = first_empty_head if use_head else first_empty_foot
+    return first_empty(masks, itertools.combinations(range(n), p))
 
 
 def satisfies_condition(d: Digraph, kind: ConditionKind, p: int) -> ConditionReport:

@@ -2,12 +2,17 @@
 theorem-verification sweeps built on top of it.
 
 Enumeration is labeled (no isomorphism reduction), arc (u, v) <-> bit
-u*n + v.  Sweeps never stop early, so the outcome - including the least-mask
-counterexample, were one ever found - is identical for any worker count.
+u*n + v.  One generator, _digraph_rows, yields (mask, out-rows, in-rows)
+for each of the three spaces an EnumerationFilter selects (all digraphs,
+loopless, acyclic) by assigning out-rows vertex by vertex; the order
+sweeps (main0, kr) keep the transitive DAGs, i.e. the labeled posets.
+The loopless, acyclic and props sweeps scan that generator in one chunk
+per vertex-0 row.  Sweeps never stop early and keep the least-mask
+counterexample, so the outcome is identical for any worker count.
 
 The heavy sweeps work on raw masks and neighborhood rows; Digraph objects
 are only materialized for witnesses and reports.  Mask-level logic is
-cross-checked against the per-digraph API by the test suite.
+cross-checked against brute-force oracles by the test suite.
 """
 
 from __future__ import annotations
@@ -16,18 +21,25 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .caps import CAP_ENV_VAR, ResourceCapError, resolved_cap
+from .conditions import first_empty_foot, first_empty_head
 from .digraph import Digraph, ancestors, submasks
 from .graphs import (
     SimpleGraph,
     canonical_form,
+    cce_adj,
+    competition_adj,
     complete_plus_isolated,
+    core_clique,
     graph_from_canonical,
+    graph_of_adj,
+    niche_adj,
 )
 from .orders import (
     interval_feasible_masks,
+    is_transitive,
     semiorder_feasible_masks,
 )
 
@@ -68,7 +80,7 @@ class SweepOutcome:
         return self.counterexample is None
 
 
-# -- mask machinery ------------------------------------------------------------
+# -- enumeration ---------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -98,40 +110,6 @@ def _deposit_tables(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], int, int]
     return table(lo_pos), table(hi_pos), lo_bits, k
 
 
-@lru_cache(maxsize=None)
-def _transpose_tables(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Per-row tables spreading a row's bits into the transposed positions."""
-    tabs = []
-    for u in range(n):
-        t = [0] * (1 << n)
-        for r in range(1 << n):
-            m = 0
-            rr = r
-            while rr:
-                low = rr & -rr
-                v = low.bit_length() - 1
-                m |= 1 << (v * n + u)
-                rr ^= low
-            t[r] = m
-        tabs.append(tuple(t))
-    return tuple(tabs)
-
-
-def _in_rows_of(out_rows: Sequence[int], n: int, nm: int) -> List[int]:
-    tabs = _transpose_tables(n)
-    trans = 0
-    for u in range(n):
-        trans |= tabs[u][out_rows[u]]
-    return [(trans >> (v * n)) & nm for v in range(n)]
-
-
-# -- enumeration ---------------------------------------------------------------
-
-
-def _loopless_mask_count(n: int) -> int:
-    return 1 << (n * n - n)
-
-
 def loopless_mask_at(n: int, counter: int) -> int:
     """Full arc mask of the counter-th loopless digraph (ascending order)."""
     lo, hi, lo_bits, _ = _deposit_tables(n)
@@ -157,31 +135,49 @@ def _enumerate(filt: EnumerationFilter, cap: Optional[int]) -> Iterator[Digraph]
     if filt.acyclic:
         masks = dag_masks(n, cap)
     elif filt.loopless:
-        masks = (loopless_mask_at(n, c) for c in range(_loopless_mask_count(n)))
+        masks = (loopless_mask_at(n, c) for c in range(1 << (n * n - n)))
     else:
         masks = range(1 << (n * n))
     for mask in masks:
         yield Digraph.from_arc_mask(n, mask)
 
 
-def _dag_rows(
-    n: int, first_rows: Optional[Iterable[int]] = None
-) -> Iterator[Tuple[int, List[int], List[int]]]:
-    """Every labeled DAG on n vertices as (arc mask, out-rows, in-rows).
+def _row_rule(filt: EnumerationFilter) -> Callable[[int, Sequence[int]], int]:
+    """allowed(v, ins): the vertices v's out-row may contain, given the
+    in-rows of the out-rows already assigned to the vertices below v."""
+    full = (1 << filt.n) - 1
+    if filt.acyclic:
+        return lambda v, ins: full & ~(1 << v | ancestors(v, ins))
+    if filt.loopless:
+        return lambda v, ins: full & ~(1 << v)
+    return lambda v, ins: full
 
-    Out-rows are assigned in vertex order.  Vertex v's row walks the
-    ascending submasks of the vertices that do not reach v (vertex 0's walks
-    first_rows instead, when given), so every branch ends in a DAG and no
-    DAG comes twice.  The order is not by mask.  The yielded lists are
-    reused: copy them to keep them.
+
+def _first_rows(filt: EnumerationFilter) -> Iterator[int]:
+    """Vertex 0's candidate out-rows, ascending."""
+    return submasks(_row_rule(filt)(0, [0] * filt.n) if filt.n else 0)
+
+
+def _digraph_rows(
+    filt: EnumerationFilter, first_row: Optional[int] = None
+) -> Iterator[Tuple[int, List[int], List[int]]]:
+    """Every labeled digraph of the filter's space as (arc mask, out-rows,
+    in-rows); the loopless flag is implied by the acyclic one.
+
+    Out-rows are assigned in vertex order, each walking the ascending
+    submasks of what _row_rule allows (vertex 0's row is first_row alone,
+    when given), so every branch ends in a digraph of the space and none
+    comes twice.  The order is not by mask.  In-rows follow each row change.
+    The yielded lists are reused: copy them to keep them.
     """
+    n = filt.n
     if n == 0:
         yield 0, [], []
         return
-    full = (1 << n) - 1
+    allowed = _row_rule(filt)
     out, ins, masks = [0] * n, [0] * n, [0] * (n + 1)
     # rows[v] iterates v's candidate rows; v >= 1 is set on each descent
-    rows = [submasks(full & ~1) if first_rows is None else iter(first_rows)] * n
+    rows = [_first_rows(filt) if first_row is None else iter((first_row,))] * n
     v = 0
     while v >= 0:
         row = next(rows[v], None)
@@ -201,74 +197,23 @@ def _dag_rows(
             yield masks[n], out, ins
         else:
             v += 1
-            rows[v] = submasks(full & ~(1 << v | ancestors(v, ins)))
+            rows[v] = submasks(allowed(v, ins))
 
 
 def dag_masks(n: int, cap: Optional[int] = None) -> Tuple[int, ...]:
     """Arc masks of all labeled DAGs on n vertices, ascending."""
     _check_cap(n, True, cap)
-    return tuple(sorted(mask for mask, _, _ in _dag_rows(n)))
+    filt = EnumerationFilter(n, acyclic=True)
+    return tuple(sorted(mask for mask, _, _ in _digraph_rows(filt)))
 
 
-# -- derived adjacency at mask level -------------------------------------------
-
-
-def _cce_adj(n: int, out: Sequence[int], inc: Sequence[int]) -> List[int]:
-    adj = [0] * n
-    for x in range(n):
-        ox, ix = out[x], inc[x]
-        for y in range(x + 1, n):
-            if ox & out[y] and ix & inc[y]:
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
-    return adj
-
-
-def _competition_adj(n: int, out: Sequence[int]) -> List[int]:
-    adj = [0] * n
-    for x in range(n):
-        ox = out[x]
-        for y in range(x + 1, n):
-            if ox & out[y]:
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
-    return adj
-
-
-def _niche_adj(n: int, out: Sequence[int], inc: Sequence[int]) -> List[int]:
-    adj = [0] * n
-    for x in range(n):
-        ox, ix = out[x], inc[x]
-        for y in range(x + 1, n):
-            if ox & out[y] or ix & inc[y]:
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
-    return adj
-
-
-def _graph_of_adj(n: int, adj: Sequence[int]) -> SimpleGraph:
-    edges = [
-        (x, y) for x in range(n) for y in range(x + 1, n) if (adj[x] >> y) & 1
-    ]
-    return SimpleGraph(n, edges)
-
-
-def _core_is_clique(n: int, adj: Sequence[int]) -> Tuple[int, bool]:
-    """(size of the non-isolated part, whether that part is a clique)."""
-    core = [v for v in range(n) if adj[v]]
-    core_mask = 0
-    for v in core:
-        core_mask |= 1 << v
-    ok = all(adj[v] == core_mask ^ (1 << v) for v in core)
-    return len(core), ok
-
-
-# -- generic chunked scan ------------------------------------------------------
+# -- chunked scan ----------------------------------------------------------------
 #
 # Each sweep provides a checker(n, p, ctx, mask, out_rows, in_rows) returning
-# None (digraph fine) or a tag string (violation).  Chunks always scan their
-# whole share of the population, so the outcome is worker-count independent;
-# the merged counterexample is the least-mask one, taken by min.
+# None (digraph fine) or a tag string (violation).  A sweep is cut into one
+# chunk per vertex-0 row; chunks always scan their whole share of the space,
+# so the outcome is worker-count independent, and the merged counterexample
+# is the least-mask one.
 
 
 def _checker_core_clique(n, p, ctx, mask, out, inc):
@@ -277,45 +222,17 @@ def _checker_core_clique(n, p, ctx, mask, out, inc):
     only-if direction, and all of the acyclic classification that can fail
     (see verify_theorem_acyclic)."""
     subsets = ctx["subsets"]
-    if _first_empty_foot(out, subsets) is not None:
+    if first_empty_foot(out, subsets) is not None:
         return None
-    if _first_empty_foot(inc, subsets) is not None:
+    if first_empty_foot(inc, subsets) is not None:
         return None
-    adj = _cce_adj(n, out, inc)
-    core, clique = _core_is_clique(n, adj)
+    core, clique = core_clique(cce_adj(out, inc))
     if core < p:
         return None
     if not clique:
         return "CCE core is not a clique"
     if n - core < 2:
         return "CCE graph has fewer than 2 isolated vertices"
-    return None
-
-
-def _first_empty_foot(masks, subsets):
-    """First subset with an empty foot set, or None; inlined for sweep speed."""
-    for subset in subsets:
-        inter = masks[subset[0]]
-        for v in subset[1:]:
-            inter &= masks[v]
-        for x in subset:
-            if masks[x] == inter:
-                break
-        else:
-            return subset
-    return None
-
-
-def _first_empty_head(masks, subsets):
-    for subset in subsets:
-        union = 0
-        for v in subset:
-            union |= masks[v]
-        for x in subset:
-            if masks[x] == union:
-                break
-        else:
-            return subset
     return None
 
 
@@ -327,7 +244,7 @@ def _checker_props(n, p, ctx, mask, out, inc):
     for masks in (out, inc):
         prev = None
         for q in range(2, n + 1):
-            sat = _first_empty_foot(masks, subsets_by_p[q]) is None
+            sat = first_empty_foot(masks, subsets_by_p[q]) is None
             if prev is not None and prev and not sat:
                 return f"foot condition held at {q - 1} but not at {q}"
             prev = sat
@@ -366,13 +283,13 @@ def _checker_props(n, p, ctx, mask, out, inc):
         if pp > n:
             break
         subs = subsets_by_p[pp]
-        if _first_empty_foot(out, subs) is not None:
+        if first_empty_foot(out, subs) is not None:
             continue
-        if _first_empty_foot(inc, subs) is not None:
+        if first_empty_foot(inc, subs) is not None:
             continue
         if adj is None:
-            adj = _cce_adj(n, out, inc)
-        core, clique = _core_is_clique(n, adj)
+            adj = cce_adj(out, inc)
+        core, clique = core_clique(adj)
         if core >= pp and not clique:
             return f"clique proposition fails at p={pp}"
     return None
@@ -398,42 +315,17 @@ def _make_ctx(sweep: str, n: int, p: int) -> dict:
     return {"subsets": tuple(itertools.combinations(range(n), p))}
 
 
-def _scan_range(
-    sweep: str, n: int, p: int, start: int, stop: int, loopless_space: bool
+def _scan(
+    sweep: str, filt: EnumerationFilter, p: int, first_row: int
 ) -> Tuple[int, Optional[Tuple[int, str]]]:
-    """Scan one counter range; returns (checked, least violation or None)."""
+    """Check the digraphs of the space whose vertex-0 row is first_row;
+    returns (checked, least violation or None)."""
     checker = _CHECKERS[sweep]
+    n = filt.n
     ctx = _make_ctx(sweep, n, p)
-    nm = (1 << n) - 1
-    tabs = _transpose_tables(n)
-    row_shift = [v * n for v in range(n)]
-    if loopless_space:
-        lo, hi, lo_bits, _ = _deposit_tables(n)
-        lo_mask = (1 << lo_bits) - 1
-    first: Optional[Tuple[int, str]] = None
-    for c in range(start, stop):
-        mask = (lo[c & lo_mask] | hi[c >> lo_bits]) if loopless_space else c
-        out = [(mask >> s) & nm for s in row_shift]
-        trans = 0
-        for u in range(n):
-            trans |= tabs[u][out[u]]
-        inc = [(trans >> s) & nm for s in row_shift]
-        res = checker(n, p, ctx, mask, out, inc)
-        if res is not None and first is None:
-            first = (mask, res)
-    return stop - start, first
-
-
-def _scan_dags(
-    n: int, p: int, first_rows: Tuple[int, ...]
-) -> Tuple[int, Optional[Tuple[int, str]]]:
-    """Check the DAGs whose vertex-0 row is in first_rows; returns (checked,
-    least violation or None)."""
-    checker = _CHECKERS["thm_acyclic"]
-    ctx = _make_ctx("thm_acyclic", n, p)
     checked = 0
     first: Optional[Tuple[int, str]] = None
-    for mask, out, inc in _dag_rows(n, first_rows):
+    for mask, out, inc in _digraph_rows(filt, first_row):
         checked += 1
         res = checker(n, p, ctx, mask, out, inc)
         if res is not None and (first is None or mask < first[0]):
@@ -441,40 +333,34 @@ def _scan_dags(
     return checked, first
 
 
-def _range_chunks(
-    sweep: str, n: int, p: int, total: int, loopless_space: bool, workers: int
-) -> List[tuple]:
-    chunks = 1 if total < (1 << 14) else max(workers * 4, 16)
-    return [
-        (sweep, n, p, total * i // chunks, total * (i + 1) // chunks, loopless_space)
-        for i in range(chunks)
-    ]
-
-
 def _run_scan(
-    scan: Callable[..., Tuple[int, Optional[Tuple[int, str]]]],
-    chunks: Sequence[tuple],
+    sweep: str,
+    filt: EnumerationFilter,
+    p: int,
     workers: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
-) -> Tuple[int, Optional[Tuple[int, str]]]:
-    """Sum of checked and least violation over scan(*chunk) for every chunk."""
+) -> Tuple[int, Optional[Tuple[Digraph, str]]]:
+    """Sum of checked and least violation over one _scan per vertex-0 row."""
+    chunks = [(sweep, filt, p, row) for row in _first_rows(filt)]
     results = []
     if workers <= 1:
         for i, args in enumerate(chunks):
-            results.append(scan(*args))
+            results.append(_scan(*args))
             if progress:
                 progress(i + 1, len(chunks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(scan, *args) for args in chunks]
+            futures = [pool.submit(_scan, *args) for args in chunks]
             for i, fut in enumerate(futures):
                 results.append(fut.result())
                 if progress:
                     progress(i + 1, len(chunks))
     checked = sum(r[0] for r in results)
     violations = [r[1] for r in results if r[1] is not None]
-    first = min(violations) if violations else None
-    return checked, first
+    if not violations:
+        return checked, None
+    mask, tag = min(violations)
+    return checked, (Digraph.from_arc_mask(filt.n, mask), tag)
 
 
 # -- theorem verifiers ----------------------------------------------------------
@@ -497,14 +383,9 @@ def verify_theorem_loopless(
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     _check_cap(n, False, cap)
-    chunks = _range_chunks(
-        "thm_loopless", n, p, _loopless_mask_count(n), True, workers
-    )
-    checked, first = _run_scan(_scan_range, chunks, workers, progress)
-    if first is not None:
-        return SweepOutcome(checked, (Digraph.from_arc_mask(n, first[0]), first[1]))
-    ce = _verify_witnesses(p, n)
-    return SweepOutcome(checked, ce)
+    filt = EnumerationFilter(n, loopless=True)
+    checked, ce = _run_scan("thm_loopless", filt, p, workers, progress)
+    return SweepOutcome(checked, ce if ce is not None else _verify_witnesses(p, n))
 
 
 def _verify_witnesses(p: int, n: int) -> Optional[Tuple[Digraph, str]]:
@@ -519,8 +400,8 @@ def _verify_witnesses(p: int, n: int) -> Optional[Tuple[Digraph, str]]:
             return (w, f"witness CCE graph is not K_{r} u I_{q}")
         subsets = tuple(itertools.combinations(range(n), p))
         if (
-            _first_empty_foot(w.out_masks, subsets) is not None
-            or _first_empty_foot(w.in_masks, subsets) is not None
+            first_empty_foot(w.out_masks, subsets) is not None
+            or first_empty_foot(w.in_masks, subsets) is not None
         ):
             return (w, f"witness violates a foot condition at p={p}")
     return None
@@ -544,48 +425,27 @@ def verify_theorem_acyclic(
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     _check_cap(n, True, cap)
-    # one chunk per vertex-0 row, the empty row (most DAGs below it) first
-    chunks = [(n, p, (row,)) for row in submasks(((1 << n) - 1) & ~1)]
-    checked, first = _run_scan(_scan_dags, chunks, workers, progress)
-    if first is not None:
-        return SweepOutcome(checked, (Digraph.from_arc_mask(n, first[0]), first[1]))
-    return SweepOutcome(checked)
+    filt = EnumerationFilter(n, acyclic=True)
+    return SweepOutcome(*_run_scan("thm_acyclic", filt, p, workers, progress))
 
 
-@lru_cache(maxsize=None)
-def _poset_masks(n: int) -> Tuple[int, ...]:
-    """Arc masks of all loopless antisymmetric transitive digraphs on n.
+def _keep_least(classes: Dict[int, int], key: int, mask: int) -> None:
+    """Record mask as key's witness unless a smaller one is recorded."""
+    if mask < classes.get(key, mask + 1):
+        classes[key] = mask
+
+
+def _poset_rows(n: int) -> Iterator[Tuple[int, List[int], List[int]]]:
+    """Every labeled poset (transitive DAG) on n as (arc mask, out-rows,
+    in-rows), from _digraph_rows.
 
     Any digraph admitting a semiorder or interval representation is one of
-    these (chaining the defining inequalities rules out loops, 2-cycles and
+    these (chaining the defining inequalities rules out cycles and
     transitivity gaps), so the order-family sweeps only need this space.
     """
-    nm = (1 << n) - 1
-    pair_choices = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            pair_choices.append((0, 1 << (u * n + v), 1 << (v * n + u)))
-    masks = []
-    row_shift = [v * n for v in range(n)]
-    for combo in itertools.product(*pair_choices):
-        mask = 0
-        for m in combo:
-            mask |= m
-        out = [(mask >> s) & nm for s in row_shift]
-        transitive = True
-        for u in range(n):
-            closure = 0
-            m = out[u]
-            while m:
-                low = m & -m
-                closure |= out[low.bit_length() - 1]
-                m ^= low
-            if closure & ~out[u]:
-                transitive = False
-                break
-        if transitive:
-            masks.append(mask)
-    return tuple(sorted(masks))
+    for rows in _digraph_rows(EnumerationFilter(n, acyclic=True)):
+        if is_transitive(rows[1]):
+            yield rows
 
 
 def _family_sweep(
@@ -594,26 +454,23 @@ def _family_sweep(
     """Compare order-generated derived-graph classes against a shape family.
 
     legal_shapes maps canonical form -> (r, q).  Returns (checked, first
-    mismatch).  checked counts the antisymmetric loopless candidates that
-    cover all possible semiorders/interval orders on n vertices.
+    mismatch).  checked counts the labeled posets swept: every semiorder and
+    interval order on n vertices is one, so they cover both families.  Each
+    class keeps its least-mask order as witness.
     """
-    nm = (1 << n) - 1
-    row_shift = [v * n for v in range(n)]
     semi_classes: Dict[int, int] = {}
     interval_classes: Dict[int, int] = {}
-    for mask in _poset_masks(n):
-        out = [(mask >> s) & nm for s in row_shift]
+    checked = 0
+    for mask, out, inc in _poset_rows(n):
+        checked += 1
         if not interval_feasible_masks(n, out):
             # semiorders are interval orders; neither family applies
             continue
-        inc = _in_rows_of(out, n, nm)
-        adj = _cce_adj(n, out, inc) if use_cce else _competition_adj(n, out)
-        canon = canonical_form(_graph_of_adj(n, adj))
-        interval_classes.setdefault(canon, mask)
+        adj = cce_adj(out, inc) if use_cce else competition_adj(out)
+        canon = canonical_form(graph_of_adj(adj))
+        _keep_least(interval_classes, canon, mask)
         if semiorder_feasible_masks(n, out):
-            semi_classes.setdefault(canon, mask)
-
-    checked = 3 ** (n * (n - 1) // 2)
+            _keep_least(semi_classes, canon, mask)
     for canon, mask in sorted(semi_classes.items()):
         if canon not in legal_shapes:
             d = Digraph.from_arc_mask(n, mask)
@@ -690,11 +547,7 @@ def verify_theorem_props(
     lemma over every (T, U) pair, and the clique proposition at p in {2, 3}.
     """
     _check_cap(n, False, cap)
-    chunks = _range_chunks("props", n, 0, 1 << (n * n), False, workers)
-    checked, first = _run_scan(_scan_range, chunks, workers, progress)
-    if first is not None:
-        return SweepOutcome(checked, (Digraph.from_arc_mask(n, first[0]), first[1]))
-    return SweepOutcome(checked)
+    return SweepOutcome(*_run_scan("props", EnumerationFilter(n), 0, workers, progress))
 
 
 # -- open-problem exploration ----------------------------------------------------
@@ -738,55 +591,40 @@ def explore_open_problem(
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     _check_cap(n, False, cap)
-    nm = (1 << n) - 1
-    row_shift = [v * n for v in range(n)]
     subsets = tuple(itertools.combinations(range(n), p))
-    tabs = _transpose_tables(n)
-
     found: Dict[str, Dict[int, int]] = {}
-
-    def record(section: str, canon: int, mask: int) -> None:
-        bucket = found.setdefault(section, {})
-        bucket.setdefault(canon, mask)
-
-    total = 1 << (n * n)
-    for mask in range(total):
-        out = [(mask >> s) & nm for s in row_shift]
-        trans = 0
-        for u in range(n):
-            trans |= tabs[u][out[u]]
-        inc = [(trans >> s) & nm for s in row_shift]
-
+    checked = 0
+    for mask, out, inc in _digraph_rows(EnumerationFilter(n)):
+        checked += 1
         if problem == 1:
-            if _first_empty_foot(out, subsets) is not None:
+            if first_empty_foot(out, subsets) is not None:
                 continue
-            if _first_empty_foot(inc, subsets) is not None:
+            if first_empty_foot(inc, subsets) is not None:
                 continue
-            adj = _cce_adj(n, out, inc)
-            core = sum(1 for v in range(n) if adj[v])
-            if core >= p:
+            adj = cce_adj(out, inc)
+            if sum(1 for row in adj if row) >= p:
                 continue
-            record("C&Cp", canonical_form(_graph_of_adj(n, adj)), mask)
+            canon = canonical_form(graph_of_adj(adj))
+            _keep_least(found.setdefault("C&Cp", {}), canon, mask)
         elif problem == 2:
-            if _first_empty_head(out, subsets) is not None:
+            if first_empty_head(out, subsets) is not None:
                 continue
-            if _first_empty_head(inc, subsets) is not None:
+            if first_empty_head(inc, subsets) is not None:
                 continue
-            adj = _cce_adj(n, out, inc)
-            record("Cs&Csp", canonical_form(_graph_of_adj(n, adj)), mask)
+            canon = canonical_form(graph_of_adj(cce_adj(out, inc)))
+            _keep_least(found.setdefault("Cs&Csp", {}), canon, mask)
         else:
-            niche_canon = None
-            for section, masks, finder in (
-                ("C", out, _first_empty_foot),
-                ("Cp", inc, _first_empty_foot),
-                ("Cs", out, _first_empty_head),
-                ("Csp", inc, _first_empty_head),
+            canon = None
+            for section, masks, first_empty in (
+                ("C", out, first_empty_foot),
+                ("Cp", inc, first_empty_foot),
+                ("Cs", out, first_empty_head),
+                ("Csp", inc, first_empty_head),
             ):
-                if finder(masks, subsets) is None:
-                    if niche_canon is None:
-                        adj = _niche_adj(n, out, inc)
-                        niche_canon = canonical_form(_graph_of_adj(n, adj))
-                    record(section, niche_canon, mask)
+                if first_empty(masks, subsets) is None:
+                    if canon is None:
+                        canon = canonical_form(graph_of_adj(niche_adj(out, inc)))
+                    _keep_least(found.setdefault(section, {}), canon, mask)
 
     sections = {}
     for section, classes in found.items():
@@ -799,4 +637,4 @@ def explore_open_problem(
             for canon, mask in sorted(classes.items())
         ]
         sections[section] = tuple(entries)
-    return ExploreReport(problem, p, n, total, sections)
+    return ExploreReport(problem, p, n, checked, sections)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .digraph import Digraph, bits_of
 
@@ -64,42 +64,73 @@ class SimpleGraph:
 
 
 # -- derived-graph operators -------------------------------------------------
+#
+# The *_adj functions work on neighborhood rows (out[v], in[v] as bitmasks)
+# and return adjacency rows; the sweeps call them directly, the *_graph
+# functions wrap them for Digraph values.
+
+
+def competition_adj(out: Sequence[int]) -> List[int]:
+    """Adjacency rows of the competition graph of the given out-rows."""
+    n = len(out)
+    adj = [0] * n
+    for x in range(n):
+        ox = out[x]
+        for y in range(x + 1, n):
+            if ox & out[y]:
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+    return adj
+
+
+def cce_adj(out: Sequence[int], inc: Sequence[int]) -> List[int]:
+    """Adjacency rows of the CCE graph of the given out- and in-rows."""
+    n = len(out)
+    adj = [0] * n
+    for x in range(n):
+        ox, ix = out[x], inc[x]
+        for y in range(x + 1, n):
+            if ox & out[y] and ix & inc[y]:
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+    return adj
+
+
+def niche_adj(out: Sequence[int], inc: Sequence[int]) -> List[int]:
+    """Adjacency rows of the niche graph of the given out- and in-rows."""
+    n = len(out)
+    adj = [0] * n
+    for x in range(n):
+        ox, ix = out[x], inc[x]
+        for y in range(x + 1, n):
+            if ox & out[y] or ix & inc[y]:
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+    return adj
+
+
+def graph_of_adj(adj: Sequence[int]) -> SimpleGraph:
+    """The graph with the given (symmetric, loopless) adjacency rows."""
+    n = len(adj)
+    edges = [
+        (x, y) for x in range(n) for y in range(x + 1, n) if (adj[x] >> y) & 1
+    ]
+    return SimpleGraph(n, edges)
 
 
 def competition_graph(d: Digraph) -> SimpleGraph:
     """Edge {x, y} iff x and y have a common out-neighbor (common prey)."""
-    out = d.out_masks
-    edges = [
-        (x, y)
-        for x in range(d.n)
-        for y in range(x + 1, d.n)
-        if out[x] & out[y]
-    ]
-    return SimpleGraph(d.n, edges)
+    return graph_of_adj(competition_adj(d.out_masks))
 
 
 def cce_graph(d: Digraph) -> SimpleGraph:
     """Edge {x, y} iff x, y share both an out-neighbor and an in-neighbor."""
-    out, inc = d.out_masks, d.in_masks
-    edges = [
-        (x, y)
-        for x in range(d.n)
-        for y in range(x + 1, d.n)
-        if out[x] & out[y] and inc[x] & inc[y]
-    ]
-    return SimpleGraph(d.n, edges)
+    return graph_of_adj(cce_adj(d.out_masks, d.in_masks))
 
 
 def niche_graph(d: Digraph) -> SimpleGraph:
     """Edge {x, y} iff x, y share an out-neighbor or an in-neighbor."""
-    out, inc = d.out_masks, d.in_masks
-    edges = [
-        (x, y)
-        for x in range(d.n)
-        for y in range(x + 1, d.n)
-        if out[x] & out[y] or inc[x] & inc[y]
-    ]
-    return SimpleGraph(d.n, edges)
+    return graph_of_adj(niche_adj(d.out_masks, d.in_masks))
 
 
 # -- isolated vertices and shape recognition ---------------------------------
@@ -131,6 +162,16 @@ def is_clique(g: SimpleGraph, vertices: Iterable[int]) -> bool:
     return all(g.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
 
 
+def core_clique(adj: Sequence[int]) -> Tuple[int, bool]:
+    """(number of non-isolated vertices, whether they form a clique), given
+    adjacency rows."""
+    core = [v for v in range(len(adj)) if adj[v]]
+    core_mask = 0
+    for v in core:
+        core_mask |= 1 << v
+    return len(core), all(adj[v] == core_mask ^ (1 << v) for v in core)
+
+
 @dataclass(frozen=True)
 class KrIqShape:
     """A complete graph on r vertices plus q isolated vertices (r != 1)."""
@@ -150,19 +191,8 @@ def decompose_kr_iq(g: SimpleGraph) -> Optional[KrIqShape]:
     """
     if not g.edges:
         return KrIqShape(0, g.n)
-    core = [v for v in range(g.n) if g.adj_masks[v]]
-    r = len(core)
-    # One complete component on `core` means every pair inside is adjacent
-    # and, since non-core vertices are isolated, nothing else exists.
-    if len(g.edges) != r * (r - 1) // 2:
-        return None
-    core_mask = 0
-    for v in core:
-        core_mask |= 1 << v
-    for v in core:
-        if g.adj_masks[v] != core_mask ^ (1 << v):
-            return None
-    return KrIqShape(r, g.n - r)
+    r, clique = core_clique(g.adj_masks)
+    return KrIqShape(r, g.n - r) if clique else None
 
 
 def complete_plus_isolated(r: int, q: int) -> SimpleGraph:

@@ -100,19 +100,27 @@ def interval_order_from(rep: IntervalRep, n: Optional[int] = None) -> Digraph:
 # rejects keep the exhaustive sweeps fast and are implied by the full checks.
 
 
+def is_transitive(out: Sequence[int]) -> bool:
+    """True iff every out-row contains the out-rows of its members."""
+    for row in out:
+        m = row
+        while m:
+            low = m & -m
+            if out[low.bit_length() - 1] & ~row:
+                return False
+            m ^= low
+    return True
+
+
 def _obviously_not_order(n: int, out: Sequence[int]) -> bool:
     for u in range(n):
         m = out[u]
         if (m >> u) & 1:
             return True                      # loop
-        closure = 0
         for w in bits_of(m):
             if (out[w] >> u) & 1:
                 return True                  # 2-cycle
-            closure |= out[w]
-        if closure & ~m:
-            return True                      # not transitive
-    return False
+    return not is_transitive(out)
 
 
 # -- semiorder recognition -----------------------------------------------------

@@ -150,7 +150,7 @@ def test_dk_golden(workdir):
 def test_verify_and_explore(workdir):
     r = run_cli("verify", "--theorem", "main0", "--n", "4")
     assert r.returncode == 0
-    assert r.stdout == "main0: verified (729 digraphs checked)\n"
+    assert r.stdout == "main0: verified (219 digraphs checked)\n"
 
     r = run_cli("verify", "--theorem", "loopless", "--n", "4", "--p", "2",
                 "--json")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -18,14 +19,12 @@ from ccelab import (
     verify_theorem_props,
 )
 from ccelab.caps import CAP_ENV_VAR
+from ccelab.conditions import first_empty_foot, first_empty_head
 from ccelab.enumeration import (
     _CHECKERS,
-    _dag_rows,
-    _first_empty_foot,
-    _first_empty_head,
-    _poset_masks,
+    _digraph_rows,
+    _poset_rows,
 )
-from ccelab.conditions import condition_violation
 
 import oracles
 
@@ -53,10 +52,22 @@ def test_dag_masks_match_permutation_oracle():
 
 
 def test_generated_dag_rows_match_their_masks():
-    for n in range(6):
-        for mask, out, inc in _dag_rows(n):
-            d = Digraph.from_arc_mask(n, mask)
-            assert (tuple(out), tuple(inc)) == (d.out_masks, d.in_masks)
+    # DAGs, loopless digraphs and all digraphs:
+    # (flags, largest n, count, membership test)
+    spaces = [
+        ((False, True), 5, lambda n: DAG_COUNTS[n], Digraph.is_acyclic),
+        ((True, False), 4, lambda n: 1 << (n * n - n), Digraph.is_loopless),
+        ((False, False), 4, lambda n: 1 << (n * n), lambda d: True),
+    ]
+    for flags, max_n, count, member in spaces:
+        for n in range(max_n + 1):
+            masks = []
+            for mask, out, inc in _digraph_rows(EnumerationFilter(n, *flags)):
+                d = Digraph.from_arc_mask(n, mask)
+                assert (tuple(out), tuple(inc)) == (d.out_masks, d.in_masks)
+                assert member(d)
+                masks.append(mask)
+            assert len(masks) == len(set(masks)) == count(n)
 
 
 def test_enumeration_order_and_uniqueness():
@@ -98,33 +109,47 @@ def test_sweep_inline_condition_check_matches_api():
             if p > n:
                 continue
             subsets = tuple(itertools.combinations(range(n), p))
-            assert (_first_empty_foot(d.out_masks, subsets) is None) == (
-                condition_violation(d.out_masks, n, p, False) is None
-            )
-            assert (_first_empty_head(d.in_masks, subsets) is None) == (
-                condition_violation(d.in_masks, n, p, True) is None
-            )
+            for kind, masks, first_empty in (
+                ("C", d.out_masks, first_empty_foot),
+                ("Cp", d.in_masks, first_empty_foot),
+                ("Cs", d.out_masks, first_empty_head),
+                ("Csp", d.in_masks, first_empty_head),
+            ):
+                assert (first_empty(masks, subsets) is None) == (
+                    oracles.condition_oracle(d, kind, p)
+                )
+
+
+@functools.lru_cache(maxsize=None)
+def brute_force_posets(n):
+    """Masks of the loopless, antisymmetric, transitive digraphs on n."""
+    posets = set()
+    for mask in range(1 << (n * n)):
+        arcs = Digraph.from_arc_mask(n, mask).arcs
+        if any(u == v for u, v in arcs):
+            continue
+        if any((v, u) in arcs for u, v in arcs if u != v):
+            continue
+        if any(
+            (u, w) not in arcs
+            for u, v in arcs
+            for v2, w in arcs
+            if v2 == v and w != u
+        ):
+            continue
+        posets.add(mask)
+    return frozenset(posets)
 
 
 def test_poset_masks_cover_exactly_the_transitive_antisymmetric_loopless():
-    for n in range(4):
-        expected = set()
-        for mask in range(1 << (n * n)):
-            d = Digraph.from_arc_mask(n, mask)
-            arcs = d.arcs
-            if any(u == v for u, v in arcs):
-                continue
-            if any((v, u) in arcs for u, v in arcs if u != v):
-                continue
-            if any(
-                (u, w) not in arcs
-                for u, v in arcs
-                for v2, w in arcs
-                if v2 == v and w != u
-            ):
-                continue
-            expected.add(mask)
-        assert set(_poset_masks(n)) == expected
+    for n in range(5):
+        assert {mask for mask, _, _ in _poset_rows(n)} == brute_force_posets(n)
+
+
+def test_main0_and_kr_count_the_posets_they_sweep():
+    for n in range(5):
+        assert verify_theorem_main0(n).checked == len(brute_force_posets(n))
+        assert verify_theorem_kr(n).checked == len(brute_force_posets(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -158,13 +183,14 @@ def test_sweeps_deterministic_across_worker_counts():
         for p in (2, 3):
             outcome = verify_theorem_acyclic(p, 5, workers=workers)
             assert outcome == SweepOutcome(DAG_COUNTS[5])
-    assert verify_theorem_props(3, workers=2) == verify_theorem_props(3)
+        assert verify_theorem_props(3, workers=workers) == verify_theorem_props(3)
+
+
+def flag_three_arcs(n, p, ctx, mask, out, inc):
+    return "at least 3 arcs" if bin(mask).count("1") >= 3 else None
 
 
 def test_acyclic_counterexample_is_least_mask(monkeypatch):
-    def flag_three_arcs(n, p, ctx, mask, out, inc):
-        return "at least 3 arcs" if bin(mask).count("1") >= 3 else None
-
     monkeypatch.setitem(_CHECKERS, "thm_acyclic", flag_three_arcs)
     for n in (3, 4, 5):
         outcome = verify_theorem_acyclic(2, n, workers=1)
@@ -172,6 +198,41 @@ def test_acyclic_counterexample_is_least_mask(monkeypatch):
         assert outcome.checked == DAG_COUNTS[n]
         assert outcome.counterexample == (
             Digraph.from_arc_mask(n, least), "at least 3 arcs"
+        )
+
+
+def test_loopless_counterexample_is_least_mask(monkeypatch):
+    # the generator meets high-vertex arcs first; the report must still
+    # carry the least flagged mask
+    monkeypatch.setitem(_CHECKERS, "thm_loopless", flag_three_arcs)
+    for n in (3, 4):
+        outcome = verify_theorem_loopless(2, n, workers=1)
+        least = next(
+            m for m in range(1 << (n * n))
+            if bin(m).count("1") >= 3 and Digraph.from_arc_mask(n, m).is_loopless()
+        )
+        assert outcome.checked == 1 << (n * n - n)
+        assert outcome.counterexample == (
+            Digraph.from_arc_mask(n, least), "at least 3 arcs"
+        )
+
+
+def test_props_counterexample_is_least_mask(monkeypatch):
+    # all flagged digraphs share vertex 0's (empty) row, so one chunk must
+    # keep its least violation rather than its first
+    def flag(n, p, ctx, mask, out, inc):
+        return "2 arcs, none from 0" if not out[0] and bin(mask).count("1") >= 2 else None
+
+    monkeypatch.setitem(_CHECKERS, "props", flag)
+    for n in (2, 3):
+        outcome = verify_theorem_props(n, workers=1)
+        least = next(
+            m for m in range(1 << (n * n))
+            if bin(m).count("1") >= 2 and not Digraph.from_arc_mask(n, m).out_masks[0]
+        )
+        assert outcome.checked == 1 << (n * n)
+        assert outcome.counterexample == (
+            Digraph.from_arc_mask(n, least), "2 arcs, none from 0"
         )
 
 
@@ -228,6 +289,47 @@ def test_explore_witnesses_satisfy_their_conditions():
         for cls in report.sections[section]:
             assert satisfies_condition(cls.witness, kind, 2).satisfied
             assert canonical_form(niche_graph(cls.witness)) == cls.canonical
+
+
+def test_explore_witnesses_are_least_masks():
+    from ccelab import SimpleGraph
+    from ccelab.graphs import canonical_form
+
+    n, p = 3, 2
+    digraphs = [Digraph.from_arc_mask(n, m) for m in range(1 << (n * n))]
+
+    def least_masks(member, derived):
+        least = {}
+        for mask, d in enumerate(digraphs):
+            if member(d):
+                canon = canonical_form(SimpleGraph(n, derived(d)))
+                least.setdefault(canon, mask)     # masks ascend
+        return least
+
+    def recorded(report, section):
+        return {c.canonical: c.witness.arc_mask() for c in report.sections[section]}
+
+    def cce_edges(d):
+        return oracles.derived_edges_oracle(d)[1]
+
+    def problem1(d):
+        core = {v for edge in cce_edges(d) for v in edge}
+        return (
+            oracles.condition_oracle(d, "C", p)
+            and oracles.condition_oracle(d, "Cp", p)
+            and len(core) < p
+        )
+
+    report = explore_open_problem(1, p, n)
+    assert recorded(report, "C&Cp") == least_masks(problem1, cce_edges)
+
+    report = explore_open_problem(3, p, n)
+    for section in ("C", "Cp", "Cs", "Csp"):
+        expected = least_masks(
+            lambda d: oracles.condition_oracle(d, section, p),
+            lambda d: oracles.derived_edges_oracle(d)[2],
+        )
+        assert recorded(report, section) == expected
 
 
 def test_explore_rejects_bad_arguments():
