@@ -67,9 +67,10 @@ class EnumerationFilter:
 class SweepOutcome:
     """Result of one verification sweep.
 
-    checked counts the digraphs examined; counterexample is None exactly
-    when the swept property held universally, otherwise it carries the
-    least-arc-mask offender and a short explanation tag.
+    checked counts the digraphs of the swept space, whether examined one by
+    one or counted in closed form below a gate cut; counterexample is None
+    exactly when the swept property held universally, otherwise it carries
+    the least-arc-mask offender and a short explanation tag.
     """
 
     checked: int
@@ -158,8 +159,56 @@ def _first_rows(filt: EnumerationFilter) -> Iterator[int]:
     return submasks(_row_rule(filt)(0, [0] * filt.n) if filt.n else 0)
 
 
+class _ConditionGate:
+    """Cuts a branch of _digraph_rows once some p-set has an empty foot set
+    (first_empty_foot) or head set (first_empty_head) on the out-rows or on
+    the in-rows assigned so far, and adds the digraphs below each cut branch
+    to `counted`: 2^((n-1)r) loopless or 2^(nr) in all, for r unassigned
+    vertices.  The acyclic space has no such closed form.
+
+    A cut is final.  The out-rows of a p-set inside the assigned prefix are
+    final.  On the in-rows, a member x is not a foot (head) of S through an
+    assigned source u in in(x) minus in(y) (in(y) minus in(x)) for some y
+    in S, and later rows leave u in place.  So every digraph below a cut
+    fails the condition pair, and every leaf still yielded meets both.
+    """
+
+    def __init__(self, filt: EnumerationFilter, p: int, first_empty: Callable):
+        if filt.acyclic:
+            raise ValueError("the acyclic space has no closed-form completion count")
+        n = filt.n
+        subsets = tuple(itertools.combinations(range(n), p))
+        self.first_empty = first_empty
+        # the p-sets whose out-rows vertex v's row completes
+        self.closing = [tuple(s for s in subsets if s[-1] == v) for v in range(n)]
+        # Vertex v's row adds v to its members' in-rows only.  A p-set outside
+        # the row keeps its parent's verdict, and one inside it gains v in
+        # every member, which changes no containment; so past a parent that
+        # passed, only the p-sets the row splits need a test.
+        self.touched = [
+            tuple(s for s in subsets if 0 < sum(row >> x & 1 for x in s) < p)
+            for row in range(1 << n)
+        ]
+        row_bits = n - 1 if filt.loopless else n
+        self.completions = [1 << row_bits * (n - 1 - v) for v in range(n)]
+        self.counted = 0
+
+    def __call__(self, v: int, out: Sequence[int], ins: Sequence[int]) -> bool:
+        """True (and the branch counted) when the branch at v's row is cut."""
+        first_empty = self.first_empty
+        if (
+            first_empty(out, self.closing[v]) is None
+            and first_empty(ins, self.touched[out[v]]) is None
+        ):
+            return False
+        self.counted += self.completions[v]
+        return True
+
+
 def _digraph_rows(
-    filt: EnumerationFilter, first_row: Optional[int] = None
+    filt: EnumerationFilter,
+    first_row: Optional[int] = None,
+    gate: Optional[_ConditionGate] = None,
 ) -> Iterator[Tuple[int, List[int], List[int]]]:
     """Every labeled digraph of the filter's space as (arc mask, out-rows,
     in-rows); the loopless flag is implied by the acyclic one.
@@ -168,6 +217,7 @@ def _digraph_rows(
     submasks of what _row_rule allows (vertex 0's row is first_row alone,
     when given), so every branch ends in a digraph of the space and none
     comes twice.  The order is not by mask.  In-rows follow each row change.
+    A gate, when given, sees each branch after each row and may cut it.
     The yielded lists are reused: copy them to keep them.
     """
     n = filt.n
@@ -193,6 +243,8 @@ def _digraph_rows(
             continue
         out[v] = row
         masks[v + 1] = masks[v] | row << (v * n)
+        if gate is not None and gate(v, out, ins):
+            continue                # the gate counted the branch
         if v == n - 1:
             yield masks[n], out, ins
         else:
@@ -213,7 +265,9 @@ def dag_masks(n: int, cap: Optional[int] = None) -> Tuple[int, ...]:
 # None (digraph fine) or a tag string (violation).  A sweep is cut into one
 # chunk per vertex-0 row; chunks always scan their whole share of the space,
 # so the outcome is worker-count independent, and the merged counterexample
-# is the least-mask one.
+# is the least-mask one.  A sweep listed in _GATES passes every digraph that
+# fails the gate's condition pair, so its scan cuts those branches and counts
+# them instead of visiting them.
 
 
 def _checker_core_clique(n, p, ctx, mask, out, inc):
@@ -226,6 +280,12 @@ def _checker_core_clique(n, p, ctx, mask, out, inc):
         return None
     if first_empty_foot(inc, subsets) is not None:
         return None
+    return _checker_core_shape(n, p, ctx, mask, out, inc)
+
+
+def _checker_core_shape(n, p, ctx, mask, out, inc):
+    """_checker_core_clique for a digraph known to meet both foot
+    conditions at p, as every leaf of a foot-gated scan does."""
     core, clique = core_clique(cce_adj(out, inc))
     if core < p:
         return None
@@ -296,10 +356,14 @@ def _checker_props(n, p, ctx, mask, out, inc):
 
 
 _CHECKERS: Dict[str, Callable] = {
-    "thm_loopless": _checker_core_clique,
+    "thm_loopless": _checker_core_shape,
     "thm_acyclic": _checker_core_clique,
     "props": _checker_props,
 }
+
+# the gate each sweep's checker implies; a gated checker sees only leaves
+# that meet the gate's condition pair
+_GATES: Dict[str, Callable] = {"thm_loopless": first_empty_foot}
 
 
 def _make_ctx(sweep: str, n: int, p: int) -> dict:
@@ -323,14 +387,15 @@ def _scan(
     checker = _CHECKERS[sweep]
     n = filt.n
     ctx = _make_ctx(sweep, n, p)
+    gate = _ConditionGate(filt, p, _GATES[sweep]) if sweep in _GATES else None
     checked = 0
     first: Optional[Tuple[int, str]] = None
-    for mask, out, inc in _digraph_rows(filt, first_row):
+    for mask, out, inc in _digraph_rows(filt, first_row, gate):
         checked += 1
         res = checker(n, p, ctx, mask, out, inc)
         if res is not None and (first is None or mask < first[0]):
             first = (mask, res)
-    return checked, first
+    return checked + (gate.counted if gate else 0), first
 
 
 def _run_scan(
@@ -392,13 +457,13 @@ def _verify_witnesses(p: int, n: int) -> Optional[Tuple[Digraph, str]]:
     from .graphs import cce_graph, decompose_kr_iq
     from .witnesses import witness_loopless
 
+    subsets = tuple(itertools.combinations(range(n), p))
     for r in range(p, n - 1):
         q = n - r
         w = witness_loopless(r, q)
         shape = decompose_kr_iq(cce_graph(w))
         if shape is None or (shape.r, shape.q) != (r, q):
             return (w, f"witness CCE graph is not K_{r} u I_{q}")
-        subsets = tuple(itertools.combinations(range(n), p))
         if (
             first_empty_foot(w.out_masks, subsets) is not None
             or first_empty_foot(w.in_masks, subsets) is not None
@@ -591,26 +656,23 @@ def explore_open_problem(
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     _check_cap(n, False, cap)
+    filt = EnumerationFilter(n)
     subsets = tuple(itertools.combinations(range(n), p))
+    # problems 1 and 2 skip every digraph failing their condition pair, so
+    # the gate cuts those and every digraph yielded meets both conditions
+    first_empty = {1: first_empty_foot, 2: first_empty_head}.get(problem)
+    gate = _ConditionGate(filt, p, first_empty) if first_empty else None
     found: Dict[str, Dict[int, int]] = {}
     checked = 0
-    for mask, out, inc in _digraph_rows(EnumerationFilter(n)):
+    for mask, out, inc in _digraph_rows(filt, gate=gate):
         checked += 1
         if problem == 1:
-            if first_empty_foot(out, subsets) is not None:
-                continue
-            if first_empty_foot(inc, subsets) is not None:
-                continue
             adj = cce_adj(out, inc)
             if sum(1 for row in adj if row) >= p:
                 continue
             canon = canonical_form(graph_of_adj(adj))
             _keep_least(found.setdefault("C&Cp", {}), canon, mask)
         elif problem == 2:
-            if first_empty_head(out, subsets) is not None:
-                continue
-            if first_empty_head(inc, subsets) is not None:
-                continue
             canon = canonical_form(graph_of_adj(cce_adj(out, inc)))
             _keep_least(found.setdefault("Cs&Csp", {}), canon, mask)
         else:
@@ -625,6 +687,8 @@ def explore_open_problem(
                     if canon is None:
                         canon = canonical_form(graph_of_adj(niche_adj(out, inc)))
                     _keep_least(found.setdefault(section, {}), canon, mask)
+    if gate is not None:
+        checked += gate.counted
 
     sections = {}
     for section, classes in found.items():

@@ -9,6 +9,7 @@ agreement is meaningful.  Expensive tables are memoized per vertex count.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import FrozenSet, Iterable, Optional, Set, Tuple
 
@@ -57,13 +58,31 @@ def foot_head_oracle(d: Digraph, members: Iterable[int]):
     return fp, fm, hp, hm
 
 
+def conditions_met_oracle(d: Digraph, p: int) -> FrozenSet[str]:
+    """The kinds among 'C', 'Cp', 'Cs', 'Csp' that d meets at level p, by
+    direct subset comparisons over all p-subsets (neighbor sets built once)."""
+    outs, ins = _neighbor_sets(d)
+    kinds = (
+        ("C", outs, operator.le),
+        ("Cp", ins, operator.le),
+        ("Cs", outs, operator.ge),
+        ("Csp", ins, operator.ge),
+    )
+    met = {kind for kind, _, _ in kinds}
+    for ms in itertools.combinations(range(d.n), p):
+        for kind, sets, contained in kinds:
+            if kind in met and not any(
+                all(contained(sets[x], sets[y]) for y in ms) for x in ms
+            ):
+                met.discard(kind)
+        if not met:
+            break
+    return frozenset(met)
+
+
 def condition_oracle(d: Digraph, which: str, p: int) -> bool:
     """which in {'C', 'Cp', 'Cs', 'Csp'}; brute force over all p-subsets."""
-    idx = {"C": 0, "Cp": 1, "Cs": 2, "Csp": 3}[which]
-    for subset in itertools.combinations(range(d.n), p):
-        if not foot_head_oracle(d, subset)[idx]:
-            return False
-    return True
+    return which in conditions_met_oracle(d, p)
 
 
 # -- representation-search oracles ------------------------------------------------

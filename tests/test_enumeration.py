@@ -22,6 +22,7 @@ from ccelab.caps import CAP_ENV_VAR
 from ccelab.conditions import first_empty_foot, first_empty_head
 from ccelab.enumeration import (
     _CHECKERS,
+    _ConditionGate,
     _digraph_rows,
     _poset_rows,
 )
@@ -68,6 +69,51 @@ def test_generated_dag_rows_match_their_masks():
                 assert member(d)
                 masks.append(mask)
             assert len(masks) == len(set(masks)) == count(n)
+
+
+@functools.lru_cache(maxsize=None)
+def conditions_met(n, mask, p):
+    return oracles.conditions_met_oracle(Digraph.from_arc_mask(n, mask), p)
+
+
+def test_gated_rows_are_exactly_the_digraphs_meeting_the_condition_pair():
+    # a gated generator yields the digraphs meeting both conditions of its
+    # pair, each once and with its own rows, and counts the rest exactly
+    for loopless, size in ((True, lambda n: n * n - n), (False, lambda n: n * n)):
+        for n in range(5):
+            filt = EnumerationFilter(n, loopless=loopless)
+            space = [mask for mask, _, _ in _digraph_rows(filt)]
+            assert len(space) == 1 << size(n)
+            for p in (2, 3):
+                for first_empty, pair in (
+                    (first_empty_foot, {"C", "Cp"}),
+                    (first_empty_head, {"Cs", "Csp"}),
+                ):
+                    gate = _ConditionGate(filt, p, first_empty)
+                    leaves = []
+                    for mask, out, inc in _digraph_rows(filt, gate=gate):
+                        d = Digraph.from_arc_mask(n, mask)
+                        assert (tuple(out), tuple(inc)) == (d.out_masks, d.in_masks)
+                        leaves.append(mask)
+                    expected = {m for m in space if pair <= conditions_met(n, m, p)}
+                    assert len(leaves) == len(set(leaves))
+                    assert set(leaves) == expected
+                    assert len(leaves) + gate.counted == 1 << size(n)
+
+
+def test_foot_gated_loopless_leaves_are_the_labeled_interval_orders():
+    # at p = 2 the loopless digraphs meeting C(2) and C'(2) are the labeled
+    # interval orders (OEIS A079144)
+    for n, count in enumerate([1, 3, 19, 207, 3451], start=1):
+        filt = EnumerationFilter(n, loopless=True)
+        gate = _ConditionGate(filt, 2, first_empty_foot)
+        assert sum(1 for _ in _digraph_rows(filt, gate=gate)) == count
+        assert count + gate.counted == 1 << (n * n - n)
+
+
+def test_gate_refuses_the_acyclic_space():
+    with pytest.raises(ValueError):
+        _ConditionGate(EnumerationFilter(3, acyclic=True), 2, first_empty_foot)
 
 
 def test_enumeration_order_and_uniqueness():
@@ -179,8 +225,9 @@ def test_verify_props_small():
 
 def test_sweeps_deterministic_across_worker_counts():
     for workers in (1, 2, 3):
-        assert verify_theorem_loopless(2, 4, workers=workers) == verify_theorem_loopless(2, 4)
         for p in (2, 3):
+            outcome = verify_theorem_loopless(p, 5, workers=workers)
+            assert outcome == SweepOutcome(2**20)
             outcome = verify_theorem_acyclic(p, 5, workers=workers)
             assert outcome == SweepOutcome(DAG_COUNTS[5])
         assert verify_theorem_props(3, workers=workers) == verify_theorem_props(3)
@@ -203,18 +250,27 @@ def test_acyclic_counterexample_is_least_mask(monkeypatch):
 
 def test_loopless_counterexample_is_least_mask(monkeypatch):
     # the generator meets high-vertex arcs first; the report must still
-    # carry the least flagged mask
-    monkeypatch.setitem(_CHECKERS, "thm_loopless", flag_three_arcs)
+    # carry the least flagged mask.  The scan cuts every digraph failing
+    # C(p) or C'(p), so the checker flags only digraphs meeting both.
+    def flagged(n, p, mask):
+        three_arcs = bin(mask).count("1") >= 3
+        return three_arcs and {"C", "Cp"} <= conditions_met(n, mask, p)
+
+    def flag(n, p, ctx, mask, out, inc):
+        return "at least 3 arcs, C and C'" if flagged(n, p, mask) else None
+
+    monkeypatch.setitem(_CHECKERS, "thm_loopless", flag)
     for n in (3, 4):
-        outcome = verify_theorem_loopless(2, n, workers=1)
-        least = next(
-            m for m in range(1 << (n * n))
-            if bin(m).count("1") >= 3 and Digraph.from_arc_mask(n, m).is_loopless()
-        )
-        assert outcome.checked == 1 << (n * n - n)
-        assert outcome.counterexample == (
-            Digraph.from_arc_mask(n, least), "at least 3 arcs"
-        )
+        for p in (2, 3):
+            outcome = verify_theorem_loopless(p, n, workers=1)
+            least = next(
+                m for m in range(1 << (n * n))
+                if Digraph.from_arc_mask(n, m).is_loopless() and flagged(n, p, m)
+            )
+            assert outcome.checked == 1 << (n * n - n)
+            assert outcome.counterexample == (
+                Digraph.from_arc_mask(n, least), "at least 3 arcs, C and C'"
+            )
 
 
 def test_props_counterexample_is_least_mask(monkeypatch):
@@ -322,6 +378,12 @@ def test_explore_witnesses_are_least_masks():
 
     report = explore_open_problem(1, p, n)
     assert recorded(report, "C&Cp") == least_masks(problem1, cce_edges)
+
+    def problem2(d):
+        return {"Cs", "Csp"} <= oracles.conditions_met_oracle(d, p)
+
+    report = explore_open_problem(2, p, n)
+    assert recorded(report, "Cs&Csp") == least_masks(problem2, cce_edges)
 
     report = explore_open_problem(3, p, n)
     for section in ("C", "Cp", "Cs", "Csp"):
