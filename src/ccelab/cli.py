@@ -239,6 +239,15 @@ def _cmd_verify(args) -> int:
         else:
             print(f"{theorem}: verified ({outcome.checked} digraphs checked)")
         return EXIT_OK
+    if outcome.missing_shape is not None:
+        # no digraph witnesses a missing shape, so no report file is written
+        r, q, family = outcome.missing_shape
+        payload["missing_shape"] = {"r": r, "q": q, "family": family}
+        if args.json:
+            sys.stdout.write(dumps(payload))
+        else:
+            print(f"{theorem}: shape K_{r} u I_{q} realized by no {family}")
+        return EXIT_NEGATIVE
     digraph, tag = outcome.counterexample
     _write(args.report, serialize_digraph(digraph))
     payload["counterexample"] = {"tag": tag, "digraph": digraph_to_json(digraph)}

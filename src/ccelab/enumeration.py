@@ -68,17 +68,20 @@ class SweepOutcome:
     """Result of one verification sweep.
 
     checked counts the digraphs of the swept space, whether examined one by
-    one or counted in closed form below a gate cut; counterexample is None
-    exactly when the swept property held universally, otherwise it carries
-    the least-arc-mask offender and a short explanation tag.
+    one or counted in closed form below a gate cut.  counterexample carries
+    the least-arc-mask offender and a short explanation tag; missing_shape
+    is (r, q, family) when an order-family sweep finds that no order of the
+    family realizes K_r u I_q, a failure no single digraph witnesses.  The
+    swept property held universally exactly when both are None.
     """
 
     checked: int
     counterexample: Optional[Tuple[Digraph, str]] = None
+    missing_shape: Optional[Tuple[int, int, str]] = None
 
     @property
     def verified(self) -> bool:
-        return self.counterexample is None
+        return self.counterexample is None and self.missing_shape is None
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -513,58 +516,76 @@ def _poset_rows(n: int) -> Iterator[Tuple[int, List[int], List[int]]]:
             yield rows
 
 
+def _canon_memo() -> Callable[[Sequence[int]], int]:
+    """A map from adjacency rows to the canonical form of their graph that
+    computes each distinct row tuple's form once; build one per sweep."""
+    forms: Dict[Tuple[int, ...], int] = {}
+
+    def canon_of(adj: Sequence[int]) -> int:
+        key = tuple(adj)
+        canon = forms.get(key)
+        if canon is None:
+            canon = forms[key] = canonical_form(graph_of_adj(adj))
+        return canon
+
+    return canon_of
+
+
 def _family_sweep(
     n: int, use_cce: bool, legal_shapes: Dict[int, Tuple[int, int]]
-) -> Tuple[int, Optional[Tuple[Digraph, str]]]:
+) -> SweepOutcome:
     """Compare order-generated derived-graph classes against a shape family.
 
-    legal_shapes maps canonical form -> (r, q).  Returns (checked, first
-    mismatch).  checked counts the labeled posets swept: every semiorder and
-    interval order on n vertices is one, so they cover both families.  Each
-    class keeps its least-mask order as witness.
+    legal_shapes maps canonical form -> (r, q).  checked counts the labeled
+    posets swept: every semiorder and interval order on n vertices is one,
+    so they cover both families.  Each class keeps its least-mask order as
+    witness.  A poset is tested for a semiorder only when its mask is below
+    its class's recorded semiorder, the one case the result can change:
+    each class's least semiorder is tested when it is reached.
     """
     semi_classes: Dict[int, int] = {}
     interval_classes: Dict[int, int] = {}
+    canon_of = _canon_memo()
     checked = 0
     for mask, out, inc in _poset_rows(n):
         checked += 1
         if not interval_feasible_masks(n, out):
             # semiorders are interval orders; neither family applies
             continue
-        adj = cce_adj(out, inc) if use_cce else competition_adj(out)
-        canon = canonical_form(graph_of_adj(adj))
+        canon = canon_of(cce_adj(out, inc) if use_cce else competition_adj(out))
         _keep_least(interval_classes, canon, mask)
-        if semiorder_feasible_masks(n, out):
-            _keep_least(semi_classes, canon, mask)
-    for canon, mask in sorted(semi_classes.items()):
-        if canon not in legal_shapes:
-            d = Digraph.from_arc_mask(n, mask)
-            return checked, (d, "semiorder derived graph outside the shape family")
-    for canon, mask in sorted(interval_classes.items()):
-        if canon not in legal_shapes:
-            d = Digraph.from_arc_mask(n, mask)
-            return checked, (d, "interval-order derived graph outside the shape family")
+        if mask < semi_classes.get(canon, mask + 1):
+            if semiorder_feasible_masks(n, out):
+                semi_classes[canon] = mask
+    for family, classes in (
+        ("semiorder", semi_classes),
+        ("interval-order", interval_classes),
+    ):
+        for canon, mask in sorted(classes.items()):
+            if canon not in legal_shapes:
+                d = Digraph.from_arc_mask(n, mask)
+                tag = f"{family} derived graph outside the shape family"
+                return SweepOutcome(checked, (d, tag))
+    # semiorder classes are interval-order classes, so a shape no interval
+    # order realizes is reported for the larger family; past this loop both
+    # families equal the shape family
     for canon, (r, q) in sorted(legal_shapes.items()):
-        if canon not in semi_classes:
-            return checked, (
-                Digraph(n),
-                f"shape K_{r} u I_{q} realized by no semiorder",
-            )
-        if canon not in interval_classes:
-            return checked, (
-                Digraph(n),
-                f"shape K_{r} u I_{q} realized by no interval order",
-            )
-    # the two order families coincide when both equal the shape family; a
-    # direct check keeps the comparison honest even on mismatch paths
-    for canon, mask in sorted(interval_classes.items()):
-        if canon not in semi_classes:
-            d = Digraph.from_arc_mask(n, mask)
-            return checked, (
-                d,
-                "interval-order class not achieved by any semiorder",
-            )
-    return checked, None
+        for family, classes in (
+            ("interval order", interval_classes),
+            ("semiorder", semi_classes),
+        ):
+            if canon not in classes:
+                return SweepOutcome(checked, missing_shape=(r, q, family))
+    return SweepOutcome(checked)
+
+
+def _kr_iq_shapes(n: int, q_min: int) -> Dict[int, Tuple[int, int]]:
+    """canonical form -> (r, q) for I_n and each K_r u I_q on n vertices
+    with r >= 2 and q >= q_min."""
+    shapes = {canonical_form(complete_plus_isolated(0, n)): (0, n)}
+    for r in range(2, n - q_min + 1):
+        shapes[canonical_form(complete_plus_isolated(r, n - r))] = (r, n - r)
+    return shapes
 
 
 def verify_theorem_main0(
@@ -573,15 +594,7 @@ def verify_theorem_main0(
     """CCE images of semiorders = CCE images of interval orders
     = {K_r u I_q : r >= 2 implies q >= 2}, as isomorphism classes at size n."""
     _check_cap(n, False, cap)
-    shapes: Dict[int, Tuple[int, int]] = {
-        canonical_form(complete_plus_isolated(0, n)): (0, n)
-    }
-    for r in range(2, n - 1):
-        q = n - r
-        if q >= 2:
-            shapes[canonical_form(complete_plus_isolated(r, q))] = (r, q)
-    checked, ce = _family_sweep(n, True, shapes)
-    return SweepOutcome(checked, ce)
+    return _family_sweep(n, True, _kr_iq_shapes(n, 2))
 
 
 def verify_theorem_kr(
@@ -589,15 +602,7 @@ def verify_theorem_kr(
 ) -> SweepOutcome:
     """Competition-graph analog: shapes K_r u I_q with r >= 2 implies q >= 1."""
     _check_cap(n, False, cap)
-    shapes: Dict[int, Tuple[int, int]] = {
-        canonical_form(complete_plus_isolated(0, n)): (0, n)
-    }
-    for r in range(2, n):
-        q = n - r
-        if q >= 1:
-            shapes[canonical_form(complete_plus_isolated(r, q))] = (r, q)
-    checked, ce = _family_sweep(n, False, shapes)
-    return SweepOutcome(checked, ce)
+    return _family_sweep(n, False, _kr_iq_shapes(n, 1))
 
 
 def verify_theorem_props(
@@ -663,6 +668,7 @@ def explore_open_problem(
     first_empty = {1: first_empty_foot, 2: first_empty_head}.get(problem)
     gate = _ConditionGate(filt, p, first_empty) if first_empty else None
     found: Dict[str, Dict[int, int]] = {}
+    canon_of = _canon_memo()
     checked = 0
     for mask, out, inc in _digraph_rows(filt, gate=gate):
         checked += 1
@@ -670,10 +676,9 @@ def explore_open_problem(
             adj = cce_adj(out, inc)
             if sum(1 for row in adj if row) >= p:
                 continue
-            canon = canonical_form(graph_of_adj(adj))
-            _keep_least(found.setdefault("C&Cp", {}), canon, mask)
+            _keep_least(found.setdefault("C&Cp", {}), canon_of(adj), mask)
         elif problem == 2:
-            canon = canonical_form(graph_of_adj(cce_adj(out, inc)))
+            canon = canon_of(cce_adj(out, inc))
             _keep_least(found.setdefault("Cs&Csp", {}), canon, mask)
         else:
             canon = None
@@ -685,7 +690,7 @@ def explore_open_problem(
             ):
                 if first_empty(masks, subsets) is None:
                     if canon is None:
-                        canon = canonical_form(graph_of_adj(niche_adj(out, inc)))
+                        canon = canon_of(niche_adj(out, inc))
                     _keep_least(found.setdefault(section, {}), canon, mask)
     if gate is not None:
         checked += gate.counted

@@ -175,6 +175,28 @@ def test_verify_and_explore(workdir):
     assert set(payload["sections"]) == {"C", "Cp", "Cs", "Csp"}
 
 
+def test_verify_reports_a_missing_shape_without_a_report_file(
+    tmp_path, monkeypatch, capsys
+):
+    from ccelab import SweepOutcome, cli
+
+    outcome = SweepOutcome(219, missing_shape=(4, 0, "interval order"))
+    monkeypatch.setattr(cli, "verify_theorem_main0", lambda n, workers: outcome)
+    report = tmp_path / "ce.digraph"
+    args = ["verify", "--theorem", "main0", "--n", "4", "--report", str(report)]
+
+    assert cli.main(args + ["--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is False and payload["counterexample"] is None
+    assert payload["missing_shape"] == {"r": 4, "q": 0, "family": "interval order"}
+
+    assert cli.main(args) == 1
+    assert capsys.readouterr().out == (
+        "main0: shape K_4 u I_0 realized by no interval order\n"
+    )
+    assert not report.exists()
+
+
 def test_parse_and_io_failures(workdir):
     out = workdir / "x.graph"
     r = run_cli("derive", "--kind", "cce",

@@ -8,6 +8,7 @@ from ccelab import (
     Digraph,
     EnumerationFilter,
     ResourceCapError,
+    SimpleGraph,
     SweepOutcome,
     dag_masks,
     enumerate_digraphs,
@@ -18,14 +19,18 @@ from ccelab import (
     verify_theorem_main0,
     verify_theorem_props,
 )
+from ccelab import enumeration
 from ccelab.caps import CAP_ENV_VAR
 from ccelab.conditions import first_empty_foot, first_empty_head
 from ccelab.enumeration import (
     _CHECKERS,
     _ConditionGate,
     _digraph_rows,
+    _family_sweep,
+    _kr_iq_shapes,
     _poset_rows,
 )
+from ccelab.graphs import canonical_form, complete_plus_isolated
 
 import oracles
 
@@ -202,6 +207,130 @@ def test_main0_and_kr_count_the_posets_they_sweep():
 def test_verify_main0_and_kr_small(n):
     assert verify_theorem_main0(n).verified
     assert verify_theorem_kr(n).verified
+
+
+def derived_edges(d, use_cce):
+    competition, cce, _ = oracles.derived_edges_oracle(d)
+    return cce if use_cce else competition
+
+
+def least_mask_per_class(n, masks, use_cce):
+    """canonical form -> least mask among masks, by the edge oracle."""
+    least = {}
+    for mask in sorted(masks):
+        d = Digraph.from_arc_mask(n, mask)
+        least.setdefault(
+            canonical_form(SimpleGraph(n, derived_edges(d, use_cce))), mask
+        )
+    return least
+
+
+@pytest.mark.parametrize("use_cce", [True, False])
+def test_family_sweep_witnesses_are_least_masks(use_cce, monkeypatch):
+    # the poset generator does not run in mask order, and the sweep tests
+    # a poset for a semiorder only below its class's recorded witness
+    def reported(n, shapes):
+        outcome = _family_sweep(n, use_cce, shapes)
+        assert outcome.checked == len(brute_force_posets(n))
+        return outcome.counterexample
+
+    def expect(n, mask, family):
+        d = Digraph.from_arc_mask(n, mask)
+        return (d, f"{family} derived graph outside the shape family")
+
+    for n in range(5):
+        semi = least_mask_per_class(n, oracles.semiorder_mask_set(n), use_cce)
+        assert reported(n, {}) == expect(n, semi[min(semi)], "semiorder")
+        for omitted in semi:
+            shapes = {canon: (0, n) for canon in semi if canon != omitted}
+            assert reported(n, shapes) == expect(n, semi[omitted], "semiorder")
+
+    # with no semiorder found, the interval-order witnesses are reported
+    monkeypatch.setattr(enumeration, "semiorder_feasible_masks", lambda n, out: False)
+    for n in range(5):
+        interval = least_mask_per_class(n, oracles.interval_mask_set(n), use_cce)
+        assert reported(n, {}) == expect(n, interval[min(interval)], "interval-order")
+        for omitted in interval:
+            shapes = {canon: (0, n) for canon in interval if canon != omitted}
+            assert reported(n, shapes) == expect(n, interval[omitted], "interval-order")
+
+
+def test_family_sweep_reports_a_missing_shape_without_a_digraph(monkeypatch):
+    # K_4 is neither a CCE nor a competition graph of an order on 4 vertices
+    for use_cce, q_min in ((True, 2), (False, 1)):
+        shapes = _kr_iq_shapes(4, q_min)
+        shapes[canonical_form(complete_plus_isolated(4, 0))] = (4, 0)
+        outcome = _family_sweep(4, use_cce, shapes)
+        assert outcome == SweepOutcome(219, missing_shape=(4, 0, "interval order"))
+        assert not outcome.verified
+
+    # a shape some interval order realizes but no semiorder does
+    monkeypatch.setattr(enumeration, "semiorder_feasible_masks", lambda n, out: False)
+    outcome = _family_sweep(4, True, _kr_iq_shapes(4, 2))
+    assert outcome == SweepOutcome(219, missing_shape=(0, 4, "semiorder"))
+    assert not outcome.verified
+
+
+def count_canonical_calls(monkeypatch):
+    calls = []
+    real = enumeration.canonical_form
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(enumeration, "canonical_form", counting)
+    return calls
+
+
+def test_family_sweep_computes_each_canonical_form_once(monkeypatch):
+    n = 4
+    expected = {}
+    for use_cce, q_min in ((True, 2), (False, 1)):
+        shapes = _kr_iq_shapes(n, q_min)
+        adjacencies = {
+            frozenset(derived_edges(Digraph.from_arc_mask(n, mask), use_cce))
+            for mask in oracles.interval_mask_set(n)
+        }
+        expected[use_cce] = (shapes, len(adjacencies))
+    calls = count_canonical_calls(monkeypatch)
+    for use_cce, (shapes, distinct) in expected.items():
+        del calls[:]
+        assert _family_sweep(n, use_cce, shapes) == SweepOutcome(219)
+        assert len(calls) == distinct
+
+
+def test_explore_computes_each_canonical_form_once(monkeypatch):
+    n, p = 3, 2
+    digraphs = [Digraph.from_arc_mask(n, m) for m in range(1 << (n * n))]
+
+    def distinct(member, derived):
+        return len({frozenset(derived(d)) for d in digraphs if member(d)})
+
+    def cce_edges(d):
+        return oracles.derived_edges_oracle(d)[1]
+
+    def problem1(d):
+        core = {v for edge in cce_edges(d) for v in edge}
+        return {"C", "Cp"} <= oracles.conditions_met_oracle(d, p) and len(core) < p
+
+    expected = {
+        1: distinct(problem1, cce_edges),
+        2: distinct(
+            lambda d: {"Cs", "Csp"} <= oracles.conditions_met_oracle(d, p),
+            cce_edges,
+        ),
+        3: distinct(
+            lambda d: bool(oracles.conditions_met_oracle(d, p)),
+            lambda d: oracles.derived_edges_oracle(d)[2],
+        ),
+    }
+    reports = {problem: explore_open_problem(problem, p, n) for problem in expected}
+    calls = count_canonical_calls(monkeypatch)
+    for problem, count in expected.items():
+        del calls[:]
+        assert explore_open_problem(problem, p, n) == reports[problem]
+        assert len(calls) == count
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 4)])
