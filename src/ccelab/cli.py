@@ -10,19 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 from typing import Optional
 
 from .caps import ResourceCapError
 from .conditions import ConditionKind, satisfies_condition
 from .dk import double_competition_number
-from .enumeration import (
-    explore_open_problem,
-    verify_theorem_acyclic,
-    verify_theorem_kr,
-    verify_theorem_loopless,
-    verify_theorem_main0,
-    verify_theorem_props,
-)
 from .fileformats import (
     ParseError,
     digraph_to_json,
@@ -46,7 +39,29 @@ from .graphs import (
     niche_graph,
 )
 from .orders import recognize_interval_order, recognize_semiorder
-from .witnesses import witness_loopless, witness_semiorder
+
+# Only verify, explore and witness need these, so they are imported from the
+# package on first access.  Handlers call them as attributes of this module,
+# at call time, so that a caller may replace them here.
+_DEFERRED = frozenset({
+    "explore_open_problem",
+    "verify_theorem_acyclic",
+    "verify_theorem_kr",
+    "verify_theorem_loopless",
+    "verify_theorem_main0",
+    "verify_theorem_props",
+    "witness_loopless",
+    "witness_semiorder",
+})
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(__package__), name)
+    return value
+
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -164,11 +179,11 @@ def _parse_shape(text: str):
 def _cmd_witness(args) -> int:
     r, q = _parse_shape(args.shape)
     if args.model == "loopless":
-        d = witness_loopless(r, q)
+        d = _cli.witness_loopless(r, q)
         text = serialize_digraph(d)
         payload = {"model": "loopless", "shape": [r, q], **digraph_to_json(d)}
     else:
-        rep = witness_semiorder(r, q)
+        rep = _cli.witness_semiorder(r, q)
         text = serialize_semiorder(rep)
         payload = {"model": "semiorder", "shape": [r, q], **semiorder_to_json(rep)}
     if args.json:
@@ -211,19 +226,19 @@ def _cmd_verify(args) -> int:
 
     theorem = args.theorem
     if theorem == "kr":
-        outcome = verify_theorem_kr(args.n, workers=workers)
+        outcome = _cli.verify_theorem_kr(args.n, workers=workers)
     elif theorem == "main0":
-        outcome = verify_theorem_main0(args.n, workers=workers)
+        outcome = _cli.verify_theorem_main0(args.n, workers=workers)
     elif theorem == "loopless":
-        outcome = verify_theorem_loopless(
+        outcome = _cli.verify_theorem_loopless(
             args.p, args.n, workers=workers, progress=progress
         )
     elif theorem == "acyclic":
-        outcome = verify_theorem_acyclic(
+        outcome = _cli.verify_theorem_acyclic(
             args.p, args.n, workers=workers, progress=progress
         )
     else:
-        outcome = verify_theorem_props(args.n, workers=workers, progress=progress)
+        outcome = _cli.verify_theorem_props(args.n, workers=workers, progress=progress)
 
     payload = {
         "theorem": theorem,
@@ -259,7 +274,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    report = explore_open_problem(
+    report = _cli.explore_open_problem(
         args.problem, args.p, args.n, workers=_workers(args)
     )
     if args.json:

@@ -18,7 +18,6 @@ cross-checked against brute-force oracles by the test suite.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -45,6 +44,8 @@ from .orders import (
 
 
 def _check_cap(n: int, acyclic: bool, cap: Optional[int]) -> None:
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     kind = "acyclic" if acyclic else "general"
     limit = cap if cap is not None else resolved_cap(kind)
     if n > limit:
@@ -127,10 +128,7 @@ def enumerate_digraphs(
 
     The cap is checked eagerly, before the returned iterator is consumed.
     """
-    n = filt.n
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    _check_cap(n, filt.acyclic, cap)
+    _check_cap(filt.n, filt.acyclic, cap)
     return _enumerate(filt, cap)
 
 
@@ -417,6 +415,9 @@ def _run_scan(
             if progress:
                 progress(i + 1, len(chunks))
     else:
+        # imported here, so that commands which start no pool never load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_scan, *args) for args in chunks]
             for i, fut in enumerate(futures):

@@ -197,6 +197,89 @@ def test_verify_reports_a_missing_shape_without_a_report_file(
     assert not report.exists()
 
 
+def test_handlers_call_the_module_attributes(workdir, monkeypatch, capsys):
+    from ccelab import ExploreReport, cli
+
+    def explore(problem, p, n, workers):
+        return ExploreReport(problem, p, n, checked=7)
+
+    monkeypatch.setattr(cli, "explore_open_problem", explore)
+    assert cli.main(["explore", "--problem", "1", "--p", "2", "--n", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checked"] == 7
+
+    monkeypatch.setattr(cli, "double_competition_number", lambda g, k_max: None)
+    args = ["dk", "--in", str(workdir / "k2.graph"), "--kmax", "3", "--json"]
+    assert cli.main(args) == 1
+    assert json.loads(capsys.readouterr().out) == {"dk": None, "kmax": 3}
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--theorem", theorem, "--n", "-1"]
+    for theorem in ("kr", "main0", "loopless", "acyclic", "props")
+] + [["explore", "--problem", "1", "--p", "2", "--n", "-1"]],
+    ids=["kr", "main0", "loopless", "acyclic", "props", "explore"])
+def test_negative_vertex_count_is_a_usage_error(args, capsys):
+    from ccelab import cli
+
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == "error: vertex count must be non-negative\n"
+
+
+# Runs each command through cli.main in one fresh process, then prints the
+# exit codes and which of the modules given in argv[2] got loaded.
+_LOAD_PROBE = """
+import contextlib, io, json, sys
+from ccelab import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps([codes, sorted(set(json.loads(sys.argv[2])) & set(sys.modules))]))
+"""
+
+
+def test_commands_without_sweeps_load_neither_the_pool_nor_the_sweeps(workdir):
+    commands = [
+        ["dk", "--in", "k2.graph", "--kmax", "3"],
+        ["check", "--condition", "C", "--p", "2", "--in", "chain.digraph"],
+        ["derive", "--kind", "cce", "--in", "square.digraph", "--out", "sq.graph"],
+        ["--help"],
+    ]
+    heavy = ["concurrent.futures", "multiprocessing", "ccelab.enumeration",
+             "ccelab.witnesses"]
+    r = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, json.dumps(commands), json.dumps(heavy)],
+        capture_output=True, text=True, cwd=workdir,
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [[0, 0, 0, 0], []]
+
+    # the pool is still loaded where a sweep runs on workers
+    r = run_cli("verify", "--theorem", "loopless", "--n", "4", "--threads", "2",
+                "--json")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["checked"] == 4096
+
+
+def test_package_names_resolve_to_their_defining_objects():
+    import importlib
+
+    import ccelab
+
+    for name in ccelab.__all__:
+        value = getattr(ccelab, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    namespace = {}
+    exec("from ccelab import *", namespace)
+    assert set(ccelab.__all__) <= set(namespace)
+    assert set(ccelab.__all__) <= set(dir(ccelab))
+    with pytest.raises(AttributeError):
+        ccelab.no_such_name
+
+
 def test_parse_and_io_failures(workdir):
     out = workdir / "x.graph"
     r = run_cli("derive", "--kind", "cce",

@@ -151,6 +151,22 @@ def test_cap_refusal_and_env_override(monkeypatch):
         enumerate_digraphs(EnumerationFilter(2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_digraphs(EnumerationFilter(-1)),
+    lambda: dag_masks(-1),
+    lambda: verify_theorem_loopless(2, -1),
+    lambda: verify_theorem_acyclic(2, -1),
+    lambda: verify_theorem_props(-1),
+    lambda: verify_theorem_main0(-1),
+    lambda: verify_theorem_kr(-1),
+    lambda: explore_open_problem(1, 2, -1),
+], ids=["enumerate", "dag_masks", "loopless", "acyclic", "props", "main0", "kr",
+        "explore"])
+def test_negative_vertex_count_is_refused(call):
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        call()
+
+
 def test_sweep_inline_condition_check_matches_api():
     rng = random.Random(17)
     for _ in range(400):
