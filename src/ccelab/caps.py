@@ -1,7 +1,7 @@
 """Hard resource caps for the exponential searches.
 
 Caps refuse oversized requests outright rather than truncating silently.
-The CCELAB_CAP environment variable overrides all three defaults at once.
+The CCELAB_CAP environment variable overrides all four defaults at once.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import os
 
 DEFAULT_CAP_GENERAL = 6     # all / loopless digraph enumeration
 DEFAULT_CAP_ACYCLIC = 7     # DAG enumeration
+DEFAULT_CAP_PROPS = 4       # proposition bundle over all 2^(n^2) digraphs
 DEFAULT_CAP_DK = 7          # dk search: |V(G)| + k_max
 CAP_ENV_VAR = "CCELAB_CAP"
 
@@ -28,5 +29,6 @@ def resolved_cap(kind: str) -> int:
     return {
         "general": DEFAULT_CAP_GENERAL,
         "acyclic": DEFAULT_CAP_ACYCLIC,
+        "props": DEFAULT_CAP_PROPS,
         "dk": DEFAULT_CAP_DK,
     }[kind]

@@ -4,11 +4,13 @@ theorem-verification sweeps built on top of it.
 Enumeration is labeled (no isomorphism reduction), arc (u, v) <-> bit
 u*n + v.  One generator, _digraph_rows, yields (mask, out-rows, in-rows)
 for each of the three spaces an EnumerationFilter selects (all digraphs,
-loopless, acyclic) by assigning out-rows vertex by vertex; the order
-sweeps (main0, kr) keep the transitive DAGs, i.e. the labeled posets.
-The loopless, acyclic and props sweeps scan that generator in one chunk
-per vertex-0 row.  Sweeps never stop early and keep the least-mask
-counterexample, so the outcome is identical for any worker count.
+loopless, acyclic) by assigning out-rows from the top vertex down, so
+every space comes out in ascending mask order; the order sweeps (main0,
+kr) keep the transitive DAGs, i.e. the labeled posets.  The loopless,
+acyclic and props sweeps scan that generator in one chunk per top-vertex
+row, taken in mask order.  Sweeps never stop early, and the first hit of
+a sweep (its first counterexample, each class's first witness) is the
+least-mask one, so the outcome is identical for any worker count.
 
 The heavy sweeps work on raw masks and neighborhood rows; Digraph objects
 are only materialized for witnesses and reports.  Mask-level logic is
@@ -43,10 +45,10 @@ from .orders import (
 )
 
 
-def _check_cap(n: int, acyclic: bool, cap: Optional[int]) -> None:
+def _check_cap(n: int, kind: str, cap: Optional[int]) -> None:
+    """Refuse n above the cap of the given kind (see caps.resolved_cap)."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    kind = "acyclic" if acyclic else "general"
     limit = cap if cap is not None else resolved_cap(kind)
     if n > limit:
         raise ResourceCapError(
@@ -70,10 +72,11 @@ class SweepOutcome:
 
     checked counts the digraphs of the swept space, whether examined one by
     one or counted in closed form below a gate cut.  counterexample carries
-    the least-arc-mask offender and a short explanation tag; missing_shape
-    is (r, q, family) when an order-family sweep finds that no order of the
-    family realizes K_r u I_q, a failure no single digraph witnesses.  The
-    swept property held universally exactly when both are None.
+    the least-arc-mask offender, the first the sweep meets, and a short
+    explanation tag; missing_shape is (r, q, family) when an order-family
+    sweep finds that no order of the family realizes K_r u I_q, a failure no
+    single digraph witnesses.  The swept property held universally exactly
+    when both are None.
     """
 
     checked: int
@@ -126,27 +129,17 @@ def enumerate_digraphs(
 ) -> Iterator[Digraph]:
     """Every labeled digraph matching the filter, arc-bitmask ascending.
 
-    The cap is checked eagerly, before the returned iterator is consumed.
+    The cap is checked eagerly, before the returned iterator is consumed;
+    the digraphs are generated as they are consumed.
     """
-    _check_cap(filt.n, filt.acyclic, cap)
-    return _enumerate(filt, cap)
-
-
-def _enumerate(filt: EnumerationFilter, cap: Optional[int]) -> Iterator[Digraph]:
     n = filt.n
-    if filt.acyclic:
-        masks = dag_masks(n, cap)
-    elif filt.loopless:
-        masks = (loopless_mask_at(n, c) for c in range(1 << (n * n - n)))
-    else:
-        masks = range(1 << (n * n))
-    for mask in masks:
-        yield Digraph.from_arc_mask(n, mask)
+    _check_cap(n, "acyclic" if filt.acyclic else "general", cap)
+    return (Digraph.from_arc_mask(n, mask) for mask, _, _ in _digraph_rows(filt))
 
 
 def _row_rule(filt: EnumerationFilter) -> Callable[[int, Sequence[int]], int]:
     """allowed(v, ins): the vertices v's out-row may contain, given the
-    in-rows of the out-rows already assigned to the vertices below v."""
+    in-rows of the out-rows already assigned to the vertices above v."""
     full = (1 << filt.n) - 1
     if filt.acyclic:
         return lambda v, ins: full & ~(1 << v | ancestors(v, ins))
@@ -156,8 +149,9 @@ def _row_rule(filt: EnumerationFilter) -> Callable[[int, Sequence[int]], int]:
 
 
 def _first_rows(filt: EnumerationFilter) -> Iterator[int]:
-    """Vertex 0's candidate out-rows, ascending."""
-    return submasks(_row_rule(filt)(0, [0] * filt.n) if filt.n else 0)
+    """The top vertex's candidate out-rows, ascending."""
+    n = filt.n
+    return submasks(_row_rule(filt)(n - 1, [0] * n) if n else 0)
 
 
 class _ConditionGate:
@@ -167,7 +161,7 @@ class _ConditionGate:
     to `counted`: 2^((n-1)r) loopless or 2^(nr) in all, for r unassigned
     vertices.  The acyclic space has no such closed form.
 
-    A cut is final.  The out-rows of a p-set inside the assigned prefix are
+    A cut is final.  The out-rows of a p-set among the assigned vertices are
     final.  On the in-rows, a member x is not a foot (head) of S through an
     assigned source u in in(x) minus in(y) (in(y) minus in(x)) for some y
     in S, and later rows leave u in place.  So every digraph below a cut
@@ -180,8 +174,9 @@ class _ConditionGate:
         n = filt.n
         subsets = tuple(itertools.combinations(range(n), p))
         self.first_empty = first_empty
-        # the p-sets whose out-rows vertex v's row completes
-        self.closing = [tuple(s for s in subsets if s[-1] == v) for v in range(n)]
+        # the p-sets whose out-rows vertex v's row completes: rows are
+        # assigned from the top vertex down, so those whose lowest member is v
+        self.closing = [tuple(s for s in subsets if s[0] == v) for v in range(n)]
         # Vertex v's row adds v to its members' in-rows only.  A p-set outside
         # the row keeps its parent's verdict, and one inside it gains v in
         # every member, which changes no containment; so past a parent that
@@ -191,7 +186,7 @@ class _ConditionGate:
             for row in range(1 << n)
         ]
         row_bits = n - 1 if filt.loopless else n
-        self.completions = [1 << row_bits * (n - 1 - v) for v in range(n)]
+        self.completions = [1 << row_bits * v for v in range(n)]
         self.counted = 0
 
     def __call__(self, v: int, out: Sequence[int], ins: Sequence[int]) -> bool:
@@ -214,23 +209,26 @@ def _digraph_rows(
     """Every labeled digraph of the filter's space as (arc mask, out-rows,
     in-rows); the loopless flag is implied by the acyclic one.
 
-    Out-rows are assigned in vertex order, each walking the ascending
-    submasks of what _row_rule allows (vertex 0's row is first_row alone,
-    when given), so every branch ends in a digraph of the space and none
-    comes twice.  The order is not by mask.  In-rows follow each row change.
-    A gate, when given, sees each branch after each row and may cut it.
-    The yielded lists are reused: copy them to keep them.
+    Out-rows are assigned from vertex n - 1 down to 0, each walking the
+    ascending submasks of what _row_rule allows (the top vertex's row is
+    first_row alone, when given), so every branch ends in a digraph of the
+    space and none comes twice.  Vertex v's row holds bits v*n .. v*n + n - 1,
+    so the digraphs come out in ascending mask order.  In-rows follow each
+    row change.  A gate, when given, sees each branch after each row and may
+    cut it; the leaves it leaves are still ascending.  The yielded lists are
+    reused: copy them to keep them.
     """
     n = filt.n
     if n == 0:
         yield 0, [], []
         return
     allowed = _row_rule(filt)
+    # masks[v] holds the arcs of the rows of v .. n - 1
     out, ins, masks = [0] * n, [0] * n, [0] * (n + 1)
-    # rows[v] iterates v's candidate rows; v >= 1 is set on each descent
+    # rows[v] iterates v's candidate rows; v < n - 1 is set on each descent
     rows = [_first_rows(filt) if first_row is None else iter((first_row,))] * n
-    v = 0
-    while v >= 0:
+    v = n - 1
+    while v < n:
         row = next(rows[v], None)
         bit = 1 << v
         flip = out[v] ^ (0 if row is None else row)
@@ -240,35 +238,36 @@ def _digraph_rows(
             flip ^= low
         if row is None:
             out[v] = 0
-            v -= 1
+            v += 1
             continue
         out[v] = row
-        masks[v + 1] = masks[v] | row << (v * n)
+        masks[v] = masks[v + 1] | row << (v * n)
         if gate is not None and gate(v, out, ins):
             continue                # the gate counted the branch
-        if v == n - 1:
-            yield masks[n], out, ins
+        if v == 0:
+            yield masks[0], out, ins
         else:
-            v += 1
+            v -= 1
             rows[v] = submasks(allowed(v, ins))
 
 
 def dag_masks(n: int, cap: Optional[int] = None) -> Tuple[int, ...]:
     """Arc masks of all labeled DAGs on n vertices, ascending."""
-    _check_cap(n, True, cap)
+    _check_cap(n, "acyclic", cap)
     filt = EnumerationFilter(n, acyclic=True)
-    return tuple(sorted(mask for mask, _, _ in _digraph_rows(filt)))
+    return tuple(mask for mask, _, _ in _digraph_rows(filt))
 
 
 # -- chunked scan ----------------------------------------------------------------
 #
 # Each sweep provides a checker(n, p, ctx, mask, out_rows, in_rows) returning
 # None (digraph fine) or a tag string (violation).  A sweep is cut into one
-# chunk per vertex-0 row; chunks always scan their whole share of the space,
-# so the outcome is worker-count independent, and the merged counterexample
-# is the least-mask one.  A sweep listed in _GATES passes every digraph that
-# fails the gate's condition pair, so its scan cuts those branches and counts
-# them instead of visiting them.
+# chunk per top-vertex row; chunks always scan their whole share of the
+# space, so the outcome is worker-count independent.  Each chunk lies wholly
+# above the one before it, so the first violation of the first chunk that
+# has one is the least-mask counterexample.  A sweep listed in _GATES passes
+# every digraph that fails the gate's condition pair, so its scan cuts those
+# branches and counts them instead of visiting them.
 
 
 def _checker_core_clique(n, p, ctx, mask, out, inc):
@@ -383,8 +382,8 @@ def _make_ctx(sweep: str, n: int, p: int) -> dict:
 def _scan(
     sweep: str, filt: EnumerationFilter, p: int, first_row: int
 ) -> Tuple[int, Optional[Tuple[int, str]]]:
-    """Check the digraphs of the space whose vertex-0 row is first_row;
-    returns (checked, least violation or None)."""
+    """Check the digraphs of the space whose top-vertex row is first_row;
+    returns (checked, first violation or None)."""
     checker = _CHECKERS[sweep]
     n = filt.n
     ctx = _make_ctx(sweep, n, p)
@@ -394,7 +393,7 @@ def _scan(
     for mask, out, inc in _digraph_rows(filt, first_row, gate):
         checked += 1
         res = checker(n, p, ctx, mask, out, inc)
-        if res is not None and (first is None or mask < first[0]):
+        if res is not None and first is None:
             first = (mask, res)
     return checked + (gate.counted if gate else 0), first
 
@@ -406,7 +405,8 @@ def _run_scan(
     workers: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> Tuple[int, Optional[Tuple[Digraph, str]]]:
-    """Sum of checked and least violation over one _scan per vertex-0 row."""
+    """Sum of checked and first violation over one _scan per top-vertex row,
+    in chunk order."""
     chunks = [(sweep, filt, p, row) for row in _first_rows(filt)]
     results = []
     if workers <= 1:
@@ -425,11 +425,11 @@ def _run_scan(
                 if progress:
                     progress(i + 1, len(chunks))
     checked = sum(r[0] for r in results)
-    violations = [r[1] for r in results if r[1] is not None]
-    if not violations:
-        return checked, None
-    mask, tag = min(violations)
-    return checked, (Digraph.from_arc_mask(filt.n, mask), tag)
+    for _, first in results:
+        if first is not None:
+            mask, tag = first
+            return checked, (Digraph.from_arc_mask(filt.n, mask), tag)
+    return checked, None
 
 
 # -- theorem verifiers ----------------------------------------------------------
@@ -451,7 +451,7 @@ def verify_theorem_loopless(
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
-    _check_cap(n, False, cap)
+    _check_cap(n, "general", cap)
     filt = EnumerationFilter(n, loopless=True)
     checked, ce = _run_scan("thm_loopless", filt, p, workers, progress)
     return SweepOutcome(checked, ce if ce is not None else _verify_witnesses(p, n))
@@ -493,15 +493,9 @@ def verify_theorem_acyclic(
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
-    _check_cap(n, True, cap)
+    _check_cap(n, "acyclic", cap)
     filt = EnumerationFilter(n, acyclic=True)
     return SweepOutcome(*_run_scan("thm_acyclic", filt, p, workers, progress))
-
-
-def _keep_least(classes: Dict[int, int], key: int, mask: int) -> None:
-    """Record mask as key's witness unless a smaller one is recorded."""
-    if mask < classes.get(key, mask + 1):
-        classes[key] = mask
 
 
 def _poset_rows(n: int) -> Iterator[Tuple[int, List[int], List[int]]]:
@@ -539,10 +533,9 @@ def _family_sweep(
 
     legal_shapes maps canonical form -> (r, q).  checked counts the labeled
     posets swept: every semiorder and interval order on n vertices is one,
-    so they cover both families.  Each class keeps its least-mask order as
-    witness.  A poset is tested for a semiorder only when its mask is below
-    its class's recorded semiorder, the one case the result can change:
-    each class's least semiorder is tested when it is reached.
+    so they cover both families.  The posets come in ascending mask order,
+    so each class keeps its first order, the least-mask one, as witness,
+    and a poset is tested for a semiorder only while its class has none.
     """
     semi_classes: Dict[int, int] = {}
     interval_classes: Dict[int, int] = {}
@@ -554,10 +547,9 @@ def _family_sweep(
             # semiorders are interval orders; neither family applies
             continue
         canon = canon_of(cce_adj(out, inc) if use_cce else competition_adj(out))
-        _keep_least(interval_classes, canon, mask)
-        if mask < semi_classes.get(canon, mask + 1):
-            if semiorder_feasible_masks(n, out):
-                semi_classes[canon] = mask
+        interval_classes.setdefault(canon, mask)
+        if canon not in semi_classes and semiorder_feasible_masks(n, out):
+            semi_classes[canon] = mask
     for family, classes in (
         ("semiorder", semi_classes),
         ("interval-order", interval_classes),
@@ -594,7 +586,7 @@ def verify_theorem_main0(
 ) -> SweepOutcome:
     """CCE images of semiorders = CCE images of interval orders
     = {K_r u I_q : r >= 2 implies q >= 2}, as isomorphism classes at size n."""
-    _check_cap(n, False, cap)
+    _check_cap(n, "general", cap)
     return _family_sweep(n, True, _kr_iq_shapes(n, 2))
 
 
@@ -602,7 +594,7 @@ def verify_theorem_kr(
     n: int, workers: int = 1, cap: Optional[int] = None
 ) -> SweepOutcome:
     """Competition-graph analog: shapes K_r u I_q with r >= 2 implies q >= 1."""
-    _check_cap(n, False, cap)
+    _check_cap(n, "general", cap)
     return _family_sweep(n, False, _kr_iq_shapes(n, 1))
 
 
@@ -617,7 +609,7 @@ def verify_theorem_props(
     Checks monotonicity of both foot conditions in p, the foot-set union
     lemma over every (T, U) pair, and the clique proposition at p in {2, 3}.
     """
-    _check_cap(n, False, cap)
+    _check_cap(n, "props", cap)
     return SweepOutcome(*_run_scan("props", EnumerationFilter(n), 0, workers, progress))
 
 
@@ -661,7 +653,7 @@ def explore_open_problem(
         raise ValueError(f"problem must be 1, 2 or 3, got {problem}")
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
-    _check_cap(n, False, cap)
+    _check_cap(n, "general", cap)
     filt = EnumerationFilter(n)
     subsets = tuple(itertools.combinations(range(n), p))
     # problems 1 and 2 skip every digraph failing their condition pair, so
@@ -677,10 +669,10 @@ def explore_open_problem(
             adj = cce_adj(out, inc)
             if sum(1 for row in adj if row) >= p:
                 continue
-            _keep_least(found.setdefault("C&Cp", {}), canon_of(adj), mask)
+            found.setdefault("C&Cp", {}).setdefault(canon_of(adj), mask)
         elif problem == 2:
             canon = canon_of(cce_adj(out, inc))
-            _keep_least(found.setdefault("Cs&Csp", {}), canon, mask)
+            found.setdefault("Cs&Csp", {}).setdefault(canon, mask)
         else:
             canon = None
             for section, masks, first_empty in (
@@ -692,7 +684,7 @@ def explore_open_problem(
                 if first_empty(masks, subsets) is None:
                     if canon is None:
                         canon = canon_of(niche_adj(out, inc))
-                    _keep_least(found.setdefault(section, {}), canon, mask)
+                    found.setdefault(section, {}).setdefault(canon, mask)
     if gate is not None:
         checked += gate.counted
 

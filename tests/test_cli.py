@@ -197,6 +197,19 @@ def test_verify_reports_a_missing_shape_without_a_report_file(
     assert not report.exists()
 
 
+def test_props_above_its_cap_exits_4_before_sweeping(monkeypatch, capsys):
+    from ccelab import cli, enumeration
+    from ccelab.caps import CAP_ENV_VAR
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the props sweep started")
+
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    monkeypatch.setattr(enumeration, "_run_scan", no_sweep)
+    assert cli.main(["verify", "--theorem", "props", "--n", "5"]) == 4
+    assert "props enumeration cap 4" in capsys.readouterr().err
+
+
 def test_handlers_call_the_module_attributes(workdir, monkeypatch, capsys):
     from ccelab import ExploreReport, cli
 

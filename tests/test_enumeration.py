@@ -27,6 +27,7 @@ from ccelab.enumeration import (
     _ConditionGate,
     _digraph_rows,
     _family_sweep,
+    _first_rows,
     _kr_iq_shapes,
     _poset_rows,
 )
@@ -79,6 +80,39 @@ def test_generated_dag_rows_match_their_masks():
 @functools.lru_cache(maxsize=None)
 def conditions_met(n, mask, p):
     return oracles.conditions_met_oracle(Digraph.from_arc_mask(n, mask), p)
+
+
+def test_every_space_comes_out_ascending_by_mask():
+    # rows are assigned from the top vertex down, so a sweep's first hit is
+    # its least-mask one, gated or not, and chunk by chunk
+    for flags, max_n in (((False, False), 4), ((True, False), 4), ((False, True), 5)):
+        for n in range(max_n + 1):
+            filt = EnumerationFilter(n, *flags)
+            gates = [None]
+            if not filt.acyclic:
+                gates += [
+                    _ConditionGate(filt, p, first_empty)
+                    for p in (2, 3)
+                    for first_empty in (first_empty_foot, first_empty_head)
+                ]
+            for gate in gates:
+                masks = [mask for mask, _, _ in _digraph_rows(filt, gate=gate)]
+                assert all(a < b for a, b in zip(masks, masks[1:]))
+            below = -1
+            for row in _first_rows(filt):
+                chunk = [mask for mask, _, _ in _digraph_rows(filt, row)]
+                assert chunk[0] > below
+                below = chunk[-1]
+
+
+def test_acyclic_enumeration_streams():
+    # the least DAGs on 7 vertices come without generating all 1,138,779,265
+    dags = enumerate_digraphs(EnumerationFilter(7, acyclic=True))
+    first = [d.arc_mask() for d in itertools.islice(dags, 200)]
+    least = itertools.islice(
+        (m for m in itertools.count() if Digraph.from_arc_mask(7, m).is_acyclic()), 200
+    )
+    assert first == list(least)
 
 
 def test_gated_rows_are_exactly_the_digraphs_meeting_the_condition_pair():
@@ -135,6 +169,23 @@ def test_acyclic_filter_agrees_with_api():
         m for m in range(1 << 9) if Digraph.from_arc_mask(3, m).is_acyclic()
     }
     assert dags == expected
+
+
+def no_sweep(*args, **kwargs):
+    raise AssertionError("a sweep started above its cap")
+
+
+def test_props_has_its_own_cap(monkeypatch):
+    # props visits all 2^(n^2) digraphs, and n = 5 does not finish
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    monkeypatch.setattr(enumeration, "_run_scan", no_sweep)
+    with pytest.raises(ResourceCapError, match="props enumeration cap 4"):
+        verify_theorem_props(5)
+    enumeration._check_cap(4, "props", None)
+    enumeration._check_cap(5, "general", None)
+    enumeration._check_cap(5, "props", 5)               # an explicit cap
+    monkeypatch.setenv(CAP_ENV_VAR, "5")
+    enumeration._check_cap(5, "props", None)
 
 
 def test_cap_refusal_and_env_override(monkeypatch):
@@ -243,8 +294,8 @@ def least_mask_per_class(n, masks, use_cce):
 
 @pytest.mark.parametrize("use_cce", [True, False])
 def test_family_sweep_witnesses_are_least_masks(use_cce, monkeypatch):
-    # the poset generator does not run in mask order, and the sweep tests
-    # a poset for a semiorder only below its class's recorded witness
+    # each class keeps its first poset, and a poset is tested for a
+    # semiorder only while its class has none
     def reported(n, shapes):
         outcome = _family_sweep(n, use_cce, shapes)
         assert outcome.checked == len(brute_force_posets(n))
@@ -285,6 +336,21 @@ def test_family_sweep_reports_a_missing_shape_without_a_digraph(monkeypatch):
     outcome = _family_sweep(4, True, _kr_iq_shapes(4, 2))
     assert outcome == SweepOutcome(219, missing_shape=(0, 4, "semiorder"))
     assert not outcome.verified
+
+
+def test_family_sweep_tests_a_class_for_a_semiorder_until_it_has_one(monkeypatch):
+    calls = []
+    real = enumeration.semiorder_feasible_masks
+
+    def counting(n, out):
+        calls.append(n)
+        return real(n, out)
+
+    monkeypatch.setattr(enumeration, "semiorder_feasible_masks", counting)
+    for verify in (verify_theorem_main0, verify_theorem_kr):
+        del calls[:]
+        assert verify(5) == SweepOutcome(4231)
+        assert len(calls) == 4
 
 
 def count_canonical_calls(monkeypatch):
@@ -394,9 +460,9 @@ def test_acyclic_counterexample_is_least_mask(monkeypatch):
 
 
 def test_loopless_counterexample_is_least_mask(monkeypatch):
-    # the generator meets high-vertex arcs first; the report must still
-    # carry the least flagged mask.  The scan cuts every digraph failing
-    # C(p) or C'(p), so the checker flags only digraphs meeting both.
+    # the report must carry the least flagged mask, the first one the scan
+    # meets.  The scan cuts every digraph failing C(p) or C'(p), so the
+    # checker flags only digraphs meeting both.
     def flagged(n, p, mask):
         three_arcs = bin(mask).count("1") >= 3
         return three_arcs and {"C", "Cp"} <= conditions_met(n, mask, p)
@@ -419,8 +485,9 @@ def test_loopless_counterexample_is_least_mask(monkeypatch):
 
 
 def test_props_counterexample_is_least_mask(monkeypatch):
-    # all flagged digraphs share vertex 0's (empty) row, so one chunk must
-    # keep its least violation rather than its first
+    # the flagged digraphs lie in several chunks, and at n = 2 the first
+    # chunk has none: the report must be the first violation of the first
+    # chunk that has one
     def flag(n, p, ctx, mask, out, inc):
         return "2 arcs, none from 0" if not out[0] and bin(mask).count("1") >= 2 else None
 
