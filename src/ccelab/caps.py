@@ -1,17 +1,33 @@
 """Hard resource caps for the exponential searches.
 
 Caps refuse oversized requests outright rather than truncating silently.
-The CCELAB_CAP environment variable overrides all four defaults at once.
+Each cap is the largest size of its kind known to finish; the CCELAB_CAP
+environment variable overrides every cap at once.
 """
 
 from __future__ import annotations
 
 import os
 
-DEFAULT_CAP_GENERAL = 6     # all / loopless digraph enumeration
-DEFAULT_CAP_ACYCLIC = 7     # DAG enumeration
-DEFAULT_CAP_PROPS = 4       # proposition bundle over all 2^(n^2) digraphs
-DEFAULT_CAP_DK = 7          # dk search: |V(G)| + k_max
+# kind -> largest n (dk: |V(G)| + k_max); timings on a 2-CPU VM, Python 3.11
+DEFAULT_CAPS = {
+    # enumerate_digraphs over all or loopless digraphs, and the main0/kr
+    # poset sweeps (~7-8 s at n = 6)
+    "general": 6,
+    # the loopless theorem sweep: n = 7 takes ~99 s (p = 2) and ~142 s
+    # (p = 3) on 2 workers
+    "loopless": 7,
+    # DAG enumeration and the acyclic theorem sweep (~39 s at n = 7, p = 2,
+    # on 2 workers)
+    "acyclic": 7,
+    # the proposition bundle over all 2^(n^2) digraphs: n = 5 had not
+    # finished after 19 min on 2 workers
+    "props": 4,
+    # explore: problem 3 at n = 5 takes ~174 s on one core, problems 1/2 ~5 s
+    "explore": 5,
+    # dk search, every stratum within 2 s
+    "dk": 7,
+}
 CAP_ENV_VAR = "CCELAB_CAP"
 
 
@@ -26,9 +42,4 @@ def resolved_cap(kind: str) -> int:
             return int(raw)
         except ValueError:
             raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
-    return {
-        "general": DEFAULT_CAP_GENERAL,
-        "acyclic": DEFAULT_CAP_ACYCLIC,
-        "props": DEFAULT_CAP_PROPS,
-        "dk": DEFAULT_CAP_DK,
-    }[kind]
+    return DEFAULT_CAPS[kind]

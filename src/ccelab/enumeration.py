@@ -20,6 +20,7 @@ cross-checked against brute-force oracles by the test suite.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -70,13 +71,13 @@ class EnumerationFilter:
 class SweepOutcome:
     """Result of one verification sweep.
 
-    checked counts the digraphs of the swept space, whether examined one by
-    one or counted in closed form below a gate cut.  counterexample carries
-    the least-arc-mask offender, the first the sweep meets, and a short
-    explanation tag; missing_shape is (r, q, family) when an order-family
-    sweep finds that no order of the family realizes K_r u I_q, a failure no
-    single digraph witnesses.  The swept property held universally exactly
-    when both are None.
+    checked counts the digraphs of the swept space, examined one by one or
+    counted in closed form (below a gate cut; all DAGs by _dag_count).
+    counterexample carries the least-arc-mask offender, the first the sweep
+    meets, and a short explanation tag; missing_shape is (r, q, family) when
+    an order-family sweep finds that no order of the family realizes
+    K_r u I_q, a failure no single digraph witnesses.  The swept property
+    held universally exactly when both are None.
     """
 
     checked: int
@@ -159,7 +160,7 @@ class _ConditionGate:
     (first_empty_foot) or head set (first_empty_head) on the out-rows or on
     the in-rows assigned so far, and adds the digraphs below each cut branch
     to `counted`: 2^((n-1)r) loopless or 2^(nr) in all, for r unassigned
-    vertices.  The acyclic space has no such closed form.
+    vertices.  The acyclic space has none, so there it counts nothing.
 
     A cut is final.  The out-rows of a p-set among the assigned vertices are
     final.  On the in-rows, a member x is not a foot (head) of S through an
@@ -169,8 +170,6 @@ class _ConditionGate:
     """
 
     def __init__(self, filt: EnumerationFilter, p: int, first_empty: Callable):
-        if filt.acyclic:
-            raise ValueError("the acyclic space has no closed-form completion count")
         n = filt.n
         subsets = tuple(itertools.combinations(range(n), p))
         self.first_empty = first_empty
@@ -186,7 +185,7 @@ class _ConditionGate:
             for row in range(1 << n)
         ]
         row_bits = n - 1 if filt.loopless else n
-        self.completions = [1 << row_bits * v for v in range(n)]
+        self.completions = [0 if filt.acyclic else 1 << row_bits * v for v in range(n)]
         self.counted = 0
 
     def __call__(self, v: int, out: Sequence[int], ins: Sequence[int]) -> bool:
@@ -251,6 +250,16 @@ def _digraph_rows(
             rows[v] = submasks(allowed(v, ins))
 
 
+@lru_cache(maxsize=None)
+def _dag_count(n: int) -> int:
+    """Labeled DAGs on n vertices (OEIS A003024) by Robinson's recurrence:
+    inclusion-exclusion over the k-sets of sources."""
+    return 1 if n == 0 else sum(
+        (-1) ** (k + 1) * math.comb(n, k) * 2 ** (k * (n - k)) * _dag_count(n - k)
+        for k in range(1, n + 1)
+    )
+
+
 def dag_masks(n: int, cap: Optional[int] = None) -> Tuple[int, ...]:
     """Arc masks of all labeled DAGs on n vertices, ascending."""
     _check_cap(n, "acyclic", cap)
@@ -267,25 +276,15 @@ def dag_masks(n: int, cap: Optional[int] = None) -> Tuple[int, ...]:
 # above the one before it, so the first violation of the first chunk that
 # has one is the least-mask counterexample.  A sweep listed in _GATES passes
 # every digraph that fails the gate's condition pair, so its scan cuts those
-# branches and counts them instead of visiting them.
-
-
-def _checker_core_clique(n, p, ctx, mask, out, inc):
-    """Under both foot conditions at p, a CCE core of at least p vertices
-    must be a clique beside at least 2 isolated vertices: the loopless
-    only-if direction, and all of the acyclic classification that can fail
-    (see verify_theorem_acyclic)."""
-    subsets = ctx["subsets"]
-    if first_empty_foot(out, subsets) is not None:
-        return None
-    if first_empty_foot(inc, subsets) is not None:
-        return None
-    return _checker_core_shape(n, p, ctx, mask, out, inc)
+# branches instead of visiting them and, outside the DAGs, counts them.
 
 
 def _checker_core_shape(n, p, ctx, mask, out, inc):
-    """_checker_core_clique for a digraph known to meet both foot
-    conditions at p, as every leaf of a foot-gated scan does."""
+    """For a digraph meeting both foot conditions at p, as every leaf of a
+    foot-gated scan does: a CCE core of at least p vertices must be a clique
+    beside at least 2 isolated vertices.  That is the loopless only-if
+    direction, and all of the acyclic classification that can fail (see
+    verify_theorem_acyclic)."""
     core, clique = core_clique(cce_adj(out, inc))
     if core < p:
         return None
@@ -356,27 +355,25 @@ def _checker_props(n, p, ctx, mask, out, inc):
 
 
 _CHECKERS: Dict[str, Callable] = {
-    "thm_loopless": _checker_core_shape,
-    "thm_acyclic": _checker_core_clique,
+    "core_shape": _checker_core_shape,
     "props": _checker_props,
 }
 
 # the gate each sweep's checker implies; a gated checker sees only leaves
 # that meet the gate's condition pair
-_GATES: Dict[str, Callable] = {"thm_loopless": first_empty_foot}
+_GATES: Dict[str, Callable] = {"core_shape": first_empty_foot}
 
 
-def _make_ctx(sweep: str, n: int, p: int) -> dict:
-    if sweep == "props":
-        return {
-            "subsets_by_p": {
-                q: tuple(itertools.combinations(range(n), q))
-                for q in range(2, n + 1)
-            },
-            "inter_scratch": [0] * (1 << n),
-            "foot_scratch": [0] * (1 << n),
-        }
-    return {"subsets": tuple(itertools.combinations(range(n), p))}
+def _make_ctx(sweep: str, n: int) -> dict:
+    if sweep != "props":
+        return {}
+    return {
+        "subsets_by_p": {
+            q: tuple(itertools.combinations(range(n), q)) for q in range(2, n + 1)
+        },
+        "inter_scratch": [0] * (1 << n),
+        "foot_scratch": [0] * (1 << n),
+    }
 
 
 def _scan(
@@ -386,7 +383,7 @@ def _scan(
     returns (checked, first violation or None)."""
     checker = _CHECKERS[sweep]
     n = filt.n
-    ctx = _make_ctx(sweep, n, p)
+    ctx = _make_ctx(sweep, n)
     gate = _ConditionGate(filt, p, _GATES[sweep]) if sweep in _GATES else None
     checked = 0
     first: Optional[Tuple[int, str]] = None
@@ -451,9 +448,9 @@ def verify_theorem_loopless(
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
-    _check_cap(n, "general", cap)
+    _check_cap(n, "loopless", cap)
     filt = EnumerationFilter(n, loopless=True)
-    checked, ce = _run_scan("thm_loopless", filt, p, workers, progress)
+    checked, ce = _run_scan("core_shape", filt, p, workers, progress)
     return SweepOutcome(checked, ce if ce is not None else _verify_witnesses(p, n))
 
 
@@ -489,13 +486,15 @@ def verify_theorem_acyclic(
     graph that is edgeless, or K_r u I_q with r >= p and q >= 2, or a small
     core (fewer than p vertices, no isolated vertices inside) padded with at
     least dk(core) isolated vertices; the last holds for every DAG, which
-    itself realizes its core padded that way, so it is not re-checked.
+    itself realizes its core padded that way, so it is not re-checked.  The
+    foot gate cuts the DAGs that fail a condition; checked is _dag_count(n).
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     _check_cap(n, "acyclic", cap)
     filt = EnumerationFilter(n, acyclic=True)
-    return SweepOutcome(*_run_scan("thm_acyclic", filt, p, workers, progress))
+    _, ce = _run_scan("core_shape", filt, p, workers, progress)
+    return SweepOutcome(_dag_count(n), ce)
 
 
 def _poset_rows(n: int) -> Iterator[Tuple[int, List[int], List[int]]]:
@@ -653,7 +652,7 @@ def explore_open_problem(
         raise ValueError(f"problem must be 1, 2 or 3, got {problem}")
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
-    _check_cap(n, "general", cap)
+    _check_cap(n, "explore", cap)
     filt = EnumerationFilter(n)
     subsets = tuple(itertools.combinations(range(n), p))
     # problems 1 and 2 skip every digraph failing their condition pair, so

@@ -210,6 +210,53 @@ def test_props_above_its_cap_exits_4_before_sweeping(monkeypatch, capsys):
     assert "props enumeration cap 4" in capsys.readouterr().err
 
 
+# one command per cap of the table at cap + 1; K2 stands for a 2-vertex graph
+CAP_CASES = {
+    "kr": (["verify", "--theorem", "kr", "--n", "7"], "general", 6),
+    "main0": (["verify", "--theorem", "main0", "--n", "7"], "general", 6),
+    "loopless": (["verify", "--theorem", "loopless", "--n", "8"], "loopless", 7),
+    "acyclic": (["verify", "--theorem", "acyclic", "--n", "8"], "acyclic", 7),
+    "props": (["verify", "--theorem", "props", "--n", "5"], "props", 4),
+    **{
+        f"explore{problem}": (
+            ["explore", "--problem", str(problem), "--p", "2", "--n", "6"],
+            "explore", 5,
+        )
+        for problem in (1, 2, 3)
+    },
+    "dk": (["dk", "--in", "K2", "--kmax", "6"], "dk", 7),
+}
+
+
+def test_cap_cases_cover_the_cap_table():
+    from ccelab.caps import DEFAULT_CAPS
+
+    assert {(kind, cap) for _, kind, cap in CAP_CASES.values()} == set(
+        DEFAULT_CAPS.items()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CAP_CASES))
+def test_each_sweep_above_its_cap_exits_4_before_sweeping(
+    name, workdir, monkeypatch, capsys
+):
+    from ccelab import cli, dk, enumeration
+    from ccelab.caps import CAP_ENV_VAR
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started above its cap")
+
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    monkeypatch.setattr(enumeration, "_digraph_rows", no_sweep)
+    monkeypatch.setattr(dk, "search_realization", no_sweep)
+    args, kind, cap = CAP_CASES[name]
+    args = [str(workdir / "k2.graph") if a == "K2" else a for a in args]
+    assert cli.main(args + ["--threads", "1"]) == 4
+    assert f"{kind} {'search' if kind == 'dk' else 'enumeration'} cap {cap}" in (
+        capsys.readouterr().err
+    )
+
+
 def test_handlers_call_the_module_attributes(workdir, monkeypatch, capsys):
     from ccelab import ExploreReport, cli
 

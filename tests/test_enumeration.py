@@ -25,6 +25,7 @@ from ccelab.conditions import first_empty_foot, first_empty_head
 from ccelab.enumeration import (
     _CHECKERS,
     _ConditionGate,
+    _dag_count,
     _digraph_rows,
     _family_sweep,
     _first_rows,
@@ -49,6 +50,14 @@ def test_enumeration_counts_closed_forms():
 @pytest.mark.parametrize("n", range(6))
 def test_dag_counts_match_known_sequence(n):
     assert len(dag_masks(n)) == DAG_COUNTS[n]
+
+
+def test_dag_count_recurrence_matches_the_generator():
+    # the acyclic sweep reports Robinson's recurrence as its checked count
+    for n in range(6):
+        dags = _digraph_rows(EnumerationFilter(n, acyclic=True))
+        assert _dag_count(n) == sum(1 for _ in dags)
+    assert _dag_count(6) == len(dag_masks(6))
 
 
 def test_dag_masks_match_permutation_oracle():
@@ -88,13 +97,11 @@ def test_every_space_comes_out_ascending_by_mask():
     for flags, max_n in (((False, False), 4), ((True, False), 4), ((False, True), 5)):
         for n in range(max_n + 1):
             filt = EnumerationFilter(n, *flags)
-            gates = [None]
-            if not filt.acyclic:
-                gates += [
-                    _ConditionGate(filt, p, first_empty)
-                    for p in (2, 3)
-                    for first_empty in (first_empty_foot, first_empty_head)
-                ]
+            gates = [None] + [
+                _ConditionGate(filt, p, first_empty)
+                for p in (2, 3)
+                for first_empty in (first_empty_foot, first_empty_head)
+            ]
             for gate in gates:
                 masks = [mask for mask, _, _ in _digraph_rows(filt, gate=gate)]
                 assert all(a < b for a, b in zip(masks, masks[1:]))
@@ -117,12 +124,18 @@ def test_acyclic_enumeration_streams():
 
 def test_gated_rows_are_exactly_the_digraphs_meeting_the_condition_pair():
     # a gated generator yields the digraphs meeting both conditions of its
-    # pair, each once and with its own rows, and counts the rest exactly
-    for loopless, size in ((True, lambda n: n * n - n), (False, lambda n: n * n)):
-        for n in range(5):
-            filt = EnumerationFilter(n, loopless=loopless)
+    # pair, each once and with its own rows, and counts the rest exactly; the
+    # DAGs have no closed-form count, so there it counts nothing
+    spaces = (
+        ((True, False), 4, lambda n: 1 << (n * n - n)),
+        ((False, False), 4, lambda n: 1 << (n * n)),
+        ((False, True), 5, lambda n: len(oracles.dag_mask_set(n))),
+    )
+    for flags, max_n, size in spaces:
+        for n in range(max_n + 1):
+            filt = EnumerationFilter(n, *flags)
             space = [mask for mask, _, _ in _digraph_rows(filt)]
-            assert len(space) == 1 << size(n)
+            assert len(space) == size(n)
             for p in (2, 3):
                 for first_empty, pair in (
                     (first_empty_foot, {"C", "Cp"}),
@@ -137,7 +150,10 @@ def test_gated_rows_are_exactly_the_digraphs_meeting_the_condition_pair():
                     expected = {m for m in space if pair <= conditions_met(n, m, p)}
                     assert len(leaves) == len(set(leaves))
                     assert set(leaves) == expected
-                    assert len(leaves) + gate.counted == 1 << size(n)
+                    if filt.acyclic:
+                        assert gate.counted == 0
+                    else:
+                        assert len(leaves) + gate.counted == size(n)
 
 
 def test_foot_gated_loopless_leaves_are_the_labeled_interval_orders():
@@ -148,11 +164,6 @@ def test_foot_gated_loopless_leaves_are_the_labeled_interval_orders():
         gate = _ConditionGate(filt, 2, first_empty_foot)
         assert sum(1 for _ in _digraph_rows(filt, gate=gate)) == count
         assert count + gate.counted == 1 << (n * n - n)
-
-
-def test_gate_refuses_the_acyclic_space():
-    with pytest.raises(ValueError):
-        _ConditionGate(EnumerationFilter(3, acyclic=True), 2, first_empty_foot)
 
 
 def test_enumeration_order_and_uniqueness():
@@ -444,33 +455,32 @@ def test_sweeps_deterministic_across_worker_counts():
         assert verify_theorem_props(3, workers=workers) == verify_theorem_props(3)
 
 
+# The report must carry the least flagged mask, the first one the scan
+# meets.  The theorem scans cut every digraph failing C(p) or C'(p), so the
+# checker flags only digraphs meeting both.
+def flagged(n, p, mask):
+    three_arcs = bin(mask).count("1") >= 3
+    return three_arcs and {"C", "Cp"} <= conditions_met(n, mask, p)
+
+
 def flag_three_arcs(n, p, ctx, mask, out, inc):
-    return "at least 3 arcs" if bin(mask).count("1") >= 3 else None
+    return "at least 3 arcs, C and C'" if flagged(n, p, mask) else None
 
 
 def test_acyclic_counterexample_is_least_mask(monkeypatch):
-    monkeypatch.setitem(_CHECKERS, "thm_acyclic", flag_three_arcs)
+    monkeypatch.setitem(_CHECKERS, "core_shape", flag_three_arcs)
     for n in (3, 4, 5):
-        outcome = verify_theorem_acyclic(2, n, workers=1)
-        least = next(m for m in dag_masks(n) if bin(m).count("1") >= 3)
-        assert outcome.checked == DAG_COUNTS[n]
-        assert outcome.counterexample == (
-            Digraph.from_arc_mask(n, least), "at least 3 arcs"
-        )
+        for p in (2, 3):
+            outcome = verify_theorem_acyclic(p, n, workers=1)
+            least = min(m for m in oracles.dag_mask_set(n) if flagged(n, p, m))
+            assert outcome.checked == DAG_COUNTS[n]
+            assert outcome.counterexample == (
+                Digraph.from_arc_mask(n, least), "at least 3 arcs, C and C'"
+            )
 
 
 def test_loopless_counterexample_is_least_mask(monkeypatch):
-    # the report must carry the least flagged mask, the first one the scan
-    # meets.  The scan cuts every digraph failing C(p) or C'(p), so the
-    # checker flags only digraphs meeting both.
-    def flagged(n, p, mask):
-        three_arcs = bin(mask).count("1") >= 3
-        return three_arcs and {"C", "Cp"} <= conditions_met(n, mask, p)
-
-    def flag(n, p, ctx, mask, out, inc):
-        return "at least 3 arcs, C and C'" if flagged(n, p, mask) else None
-
-    monkeypatch.setitem(_CHECKERS, "thm_loopless", flag)
+    monkeypatch.setitem(_CHECKERS, "core_shape", flag_three_arcs)
     for n in (3, 4):
         for p in (2, 3):
             outcome = verify_theorem_loopless(p, n, workers=1)
@@ -482,6 +492,30 @@ def test_loopless_counterexample_is_least_mask(monkeypatch):
             assert outcome.counterexample == (
                 Digraph.from_arc_mask(n, least), "at least 3 arcs, C and C'"
             )
+
+
+def test_theorem_checker_sees_exactly_the_digraphs_meeting_c_and_c_prime(monkeypatch):
+    # the theorem sweeps gate on the foot conditions (not the head ones, which
+    # coincide with them only at p = 2) and visit every digraph meeting both
+    seen = []
+
+    def record(n, p, ctx, mask, out, inc):
+        seen.append(mask)
+
+    def loopless_masks(n):
+        return [m for m in range(1 << (n * n)) if Digraph.from_arc_mask(n, m).is_loopless()]
+
+    monkeypatch.setitem(_CHECKERS, "core_shape", record)
+    for verify, space in (
+        (verify_theorem_acyclic, oracles.dag_mask_set),
+        (verify_theorem_loopless, loopless_masks),
+    ):
+        for n in (3, 4):
+            for p in (2, 3):
+                del seen[:]
+                verify(p, n, workers=1)
+                met = [m for m in space(n) if {"C", "Cp"} <= conditions_met(n, m, p)]
+                assert seen == sorted(met)
 
 
 def test_props_counterexample_is_least_mask(monkeypatch):
