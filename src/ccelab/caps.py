@@ -20,9 +20,9 @@ DEFAULT_CAPS = {
     # DAG enumeration and the acyclic theorem sweep (~39 s at n = 7, p = 2,
     # on 2 workers)
     "acyclic": 7,
-    # the proposition bundle over all 2^(n^2) digraphs: n = 5 had not
-    # finished after 19 min on 2 workers
-    "props": 4,
+    # the proposition bundle over all 2^(n^2) digraphs: n = 5 takes ~9 s on
+    # 2 workers and ~12-16 s on one
+    "props": 5,
     # explore: problem 3 at n = 5 takes ~174 s on one core, problems 1/2 ~5 s
     "explore": 5,
     # dk search, every stratum within 2 s

@@ -6,11 +6,12 @@ u*n + v.  One generator, _digraph_rows, yields (mask, out-rows, in-rows)
 for each of the three spaces an EnumerationFilter selects (all digraphs,
 loopless, acyclic) by assigning out-rows from the top vertex down, so
 every space comes out in ascending mask order; the order sweeps (main0,
-kr) keep the transitive DAGs, i.e. the labeled posets.  The loopless,
-acyclic and props sweeps scan that generator in one chunk per top-vertex
-row, taken in mask order.  Sweeps never stop early, and the first hit of
-a sweep (its first counterexample, each class's first witness) is the
-least-mask one, so the outcome is identical for any worker count.
+kr) keep the transitive DAGs, i.e. the labeled posets.  The loopless and
+acyclic sweeps and the props clique scans run that generator in one chunk
+per top-vertex row, taken in mask order; the props row lemmas run once per
+labeled preorder (_preorder_rows).  Sweeps never stop early, and the first
+hit of a sweep (its first counterexample, each class's first witness) is
+the least-mask one, so the outcome is identical for any worker count.
 
 The heavy sweeps work on raw masks and neighborhood rows; Digraph objects
 are only materialized for witnesses and reports.  Mask-level logic is
@@ -203,7 +204,7 @@ class _ConditionGate:
 def _digraph_rows(
     filt: EnumerationFilter,
     first_row: Optional[int] = None,
-    gate: Optional[_ConditionGate] = None,
+    gate: Optional[Callable[[int, Sequence[int], Sequence[int]], bool]] = None,
 ) -> Iterator[Tuple[int, List[int], List[int]]]:
     """Every labeled digraph of the filter's space as (arc mask, out-rows,
     in-rows); the loopless flag is implied by the acyclic one.
@@ -242,7 +243,7 @@ def _digraph_rows(
         out[v] = row
         masks[v] = masks[v + 1] | row << (v * n)
         if gate is not None and gate(v, out, ins):
-            continue                # the gate counted the branch
+            continue                # cut (and counted) by the gate
         if v == 0:
             yield masks[0], out, ins
         else:
@@ -270,13 +271,14 @@ def dag_masks(n: int, cap: Optional[int] = None) -> Tuple[int, ...]:
 # -- chunked scan ----------------------------------------------------------------
 #
 # Each sweep provides a checker(n, p, ctx, mask, out_rows, in_rows) returning
-# None (digraph fine) or a tag string (violation).  A sweep is cut into one
-# chunk per top-vertex row; chunks always scan their whole share of the
-# space, so the outcome is worker-count independent.  Each chunk lies wholly
-# above the one before it, so the first violation of the first chunk that
-# has one is the least-mask counterexample.  A sweep listed in _GATES passes
-# every digraph that fails the gate's condition pair, so its scan cuts those
-# branches instead of visiting them and, outside the DAGs, counts them.
+# None (digraph fine) or a tag string (violation); ctx is always None.  A
+# sweep is cut into one chunk per level p and top-vertex row; chunks always
+# scan their whole share of the space, so the outcome is worker-count
+# independent.  Within a level each chunk lies wholly above the one before
+# it, so the first violation of the first chunk that has one is the
+# least-mask counterexample of the first level that has one.  Every checker
+# passes each digraph failing C(p) or C'(p), so the scan's foot gate cuts
+# those branches instead of visiting them and, outside the DAGs, counts them.
 
 
 def _checker_core_shape(n, p, ctx, mask, out, inc):
@@ -295,86 +297,18 @@ def _checker_core_shape(n, p, ctx, mask, out, inc):
     return None
 
 
-def _checker_props(n, p, ctx, mask, out, inc):
-    # p is unused: the proposition bundle fixes its own levels.
-    subsets_by_p = ctx["subsets_by_p"]
-
-    # monotonicity of the foot-set conditions in p, for out- and in-masks
-    for masks in (out, inc):
-        prev = None
-        for q in range(2, n + 1):
-            sat = first_empty_foot(masks, subsets_by_p[q]) is None
-            if prev is not None and prev and not sat:
-                return f"foot condition held at {q - 1} but not at {q}"
-            prev = sat
-
-    # foot-set union lemma over all (T, U) pairs
-    full = 1 << n
-    inter_tab = ctx["inter_scratch"]
-    foot_tab = ctx["foot_scratch"]
-    inter_tab[0] = -1                    # AND identity: all-ones
-    foot_tab[0] = 0
-    for s in range(1, full):
-        low = s & -s
-        v = low.bit_length() - 1
-        inter = inter_tab[s ^ low] & inc[v]
-        inter_tab[s] = inter
-        m = 0
-        ss = s
-        while ss:
-            lb = ss & -ss
-            x = lb.bit_length() - 1
-            if inc[x] == inter:
-                m |= lb
-            ss ^= lb
-        foot_tab[s] = m
-    for t in range(1, full):
-        ft = foot_tab[t]
-        if not ft:
-            continue
-        for u in range(1, full):
-            if ft & u and foot_tab[u] & ~foot_tab[t | u]:
-                return f"foot-set union lemma fails at T={t:#x}, U={u:#x}"
-
-    # clique proposition at p in {2, 3}
-    adj = None
-    for pp in (2, 3):
-        if pp > n:
-            break
-        subs = subsets_by_p[pp]
-        if first_empty_foot(out, subs) is not None:
-            continue
-        if first_empty_foot(inc, subs) is not None:
-            continue
-        if adj is None:
-            adj = cce_adj(out, inc)
-        core, clique = core_clique(adj)
-        if core >= pp and not clique:
-            return f"clique proposition fails at p={pp}"
-    return None
+def _checker_clique(n, p, ctx, mask, out, inc):
+    """The clique proposition at p, for a digraph meeting both foot
+    conditions at p, as every leaf of a foot-gated scan does: a CCE core of
+    at least p vertices is a clique."""
+    core, clique = core_clique(cce_adj(out, inc))
+    return f"clique proposition fails at p={p}" if core >= p and not clique else None
 
 
 _CHECKERS: Dict[str, Callable] = {
     "core_shape": _checker_core_shape,
-    "props": _checker_props,
+    "clique": _checker_clique,
 }
-
-# the gate each sweep's checker implies; a gated checker sees only leaves
-# that meet the gate's condition pair
-_GATES: Dict[str, Callable] = {"core_shape": first_empty_foot}
-
-
-def _make_ctx(sweep: str, n: int) -> dict:
-    if sweep != "props":
-        return {}
-    return {
-        "subsets_by_p": {
-            q: tuple(itertools.combinations(range(n), q)) for q in range(2, n + 1)
-        },
-        "inter_scratch": [0] * (1 << n),
-        "foot_scratch": [0] * (1 << n),
-    }
-
 
 def _scan(
     sweep: str, filt: EnumerationFilter, p: int, first_row: int
@@ -383,28 +317,27 @@ def _scan(
     returns (checked, first violation or None)."""
     checker = _CHECKERS[sweep]
     n = filt.n
-    ctx = _make_ctx(sweep, n)
-    gate = _ConditionGate(filt, p, _GATES[sweep]) if sweep in _GATES else None
+    gate = _ConditionGate(filt, p, first_empty_foot)
     checked = 0
     first: Optional[Tuple[int, str]] = None
     for mask, out, inc in _digraph_rows(filt, first_row, gate):
         checked += 1
-        res = checker(n, p, ctx, mask, out, inc)
+        res = checker(n, p, None, mask, out, inc)
         if res is not None and first is None:
             first = (mask, res)
-    return checked + (gate.counted if gate else 0), first
+    return checked + gate.counted, first
 
 
 def _run_scan(
     sweep: str,
     filt: EnumerationFilter,
-    p: int,
+    levels: Sequence[int],
     workers: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> Tuple[int, Optional[Tuple[Digraph, str]]]:
-    """Sum of checked and first violation over one _scan per top-vertex row,
-    in chunk order."""
-    chunks = [(sweep, filt, p, row) for row in _first_rows(filt)]
+    """Sum of checked and first violation over one _scan per level p and
+    top-vertex row, in chunk order (level by level, one pool for all)."""
+    chunks = [(sweep, filt, p, row) for p in levels for row in _first_rows(filt)]
     results = []
     if workers <= 1:
         for i, args in enumerate(chunks):
@@ -450,7 +383,7 @@ def verify_theorem_loopless(
         raise ValueError(f"p must be at least 2, got {p}")
     _check_cap(n, "loopless", cap)
     filt = EnumerationFilter(n, loopless=True)
-    checked, ce = _run_scan("core_shape", filt, p, workers, progress)
+    checked, ce = _run_scan("core_shape", filt, (p,), workers, progress)
     return SweepOutcome(checked, ce if ce is not None else _verify_witnesses(p, n))
 
 
@@ -493,7 +426,7 @@ def verify_theorem_acyclic(
         raise ValueError(f"p must be at least 2, got {p}")
     _check_cap(n, "acyclic", cap)
     filt = EnumerationFilter(n, acyclic=True)
-    _, ce = _run_scan("core_shape", filt, p, workers, progress)
+    _, ce = _run_scan("core_shape", filt, (p,), workers, progress)
     return SweepOutcome(_dag_count(n), ce)
 
 
@@ -597,6 +530,53 @@ def verify_theorem_kr(
     return _family_sweep(n, False, _kr_iq_shapes(n, 1))
 
 
+def _cuts_intransitive(v: int, out: Sequence[int], ins: Sequence[int]) -> bool:
+    """A gate for _digraph_rows: cuts a branch once v's row breaks
+    transitivity against an assigned row, x added to each row[x].  Assigned
+    rows are final, so every leaf left is transitive."""
+    down = out[v] | 1 << v
+    for x in range(v + 1, len(out)):
+        row = out[x] | 1 << x
+        if (down >> x & 1 and row & ~down) or (row >> v & 1 and down & ~row):
+            return True
+    return False
+
+
+def _preorder_rows(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """Every labeled preorder on n as (arc mask, down-set rows): the
+    loopless rows of _digraph_rows that are transitive with x added to
+    row[x], so the masks ascend (OEIS A000798: 1, 4, 29, 355, 6942)."""
+    diagonal = sum(1 << x * (n + 1) for x in range(n))
+    filt = EnumerationFilter(n, loopless=True)
+    for mask, out, _ in _digraph_rows(filt, gate=_cuts_intransitive):
+        yield mask | diagonal, tuple(row | 1 << x for x, row in enumerate(out))
+
+
+def _row_lemma_failure(n: int, rows: Sequence[int], subsets: dict) -> Optional[str]:
+    """The tag of the first row lemma the rows break, or None: foot-condition
+    monotonicity in p, then the foot-set union lemma over all (T, U) pairs."""
+    prev = False
+    for q in range(2, n + 1):
+        sat = first_empty_foot(rows, subsets[q]) is None
+        if prev and not sat:
+            return f"foot condition held at {q - 1} but not at {q}"
+        prev = sat
+    full = 1 << n
+    inter, feet = [-1] * full, [0] * full   # per set: AND of its rows, its feet
+    for s in range(1, full):
+        low = s & -s
+        inter[s] = meet = inter[s ^ low] & rows[low.bit_length() - 1]
+        feet[s] = sum(1 << x for x in range(n) if s >> x & 1 and rows[x] == meet)
+    for t in range(1, full):
+        ft = feet[t]
+        if not ft:
+            continue
+        for u in range(1, full):
+            if ft & u and feet[u] & ~feet[t | u]:
+                return f"foot-set union lemma fails at T={t:#x}, U={u:#x}"
+    return None
+
+
 def verify_theorem_props(
     n: int,
     workers: int = 1,
@@ -607,9 +587,25 @@ def verify_theorem_props(
 
     Checks monotonicity of both foot conditions in p, the foot-set union
     lemma over every (T, U) pair, and the clique proposition at p in {2, 3}.
+    x is a foot of S iff row(x) lies in row(y) for every y in S, so the
+    lemmas read out-rows and in-rows only through their containment
+    preorder.  Every row tuple is a digraph's out-rows and another's
+    in-rows, so they run once per labeled preorder, and a failure reports
+    the digraph whose out-rows are the failing preorder's down-set rows.
+    The clique proposition holds vacuously off C(p) and C'(p), so it is
+    scanned on the foot-gated space at p = 2, then p = 3; checked is 2^(n^2).
     """
     _check_cap(n, "props", cap)
-    return SweepOutcome(*_run_scan("props", EnumerationFilter(n), 0, workers, progress))
+    ce = None
+    subsets = {q: tuple(itertools.combinations(range(n), q)) for q in range(n + 1)}
+    for mask, rows in _preorder_rows(n):
+        tag = _row_lemma_failure(n, rows, subsets)
+        if tag is not None:
+            ce = (Digraph.from_arc_mask(n, mask), tag)
+            break
+    levels = range(2, min(n, 3) + 1)
+    _, found = _run_scan("clique", EnumerationFilter(n), levels, workers, progress)
+    return SweepOutcome(1 << n * n, ce or found)
 
 
 # -- open-problem exploration ----------------------------------------------------

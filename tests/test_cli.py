@@ -205,9 +205,9 @@ def test_props_above_its_cap_exits_4_before_sweeping(monkeypatch, capsys):
         raise AssertionError("the props sweep started")
 
     monkeypatch.delenv(CAP_ENV_VAR, raising=False)
-    monkeypatch.setattr(enumeration, "_run_scan", no_sweep)
-    assert cli.main(["verify", "--theorem", "props", "--n", "5"]) == 4
-    assert "props enumeration cap 4" in capsys.readouterr().err
+    monkeypatch.setattr(enumeration, "_digraph_rows", no_sweep)
+    assert cli.main(["verify", "--theorem", "props", "--n", "6"]) == 4
+    assert "props enumeration cap 5" in capsys.readouterr().err
 
 
 # one command per cap of the table at cap + 1; K2 stands for a 2-vertex graph
@@ -216,7 +216,7 @@ CAP_CASES = {
     "main0": (["verify", "--theorem", "main0", "--n", "7"], "general", 6),
     "loopless": (["verify", "--theorem", "loopless", "--n", "8"], "loopless", 7),
     "acyclic": (["verify", "--theorem", "acyclic", "--n", "8"], "acyclic", 7),
-    "props": (["verify", "--theorem", "props", "--n", "5"], "props", 4),
+    "props": (["verify", "--theorem", "props", "--n", "6"], "props", 5),
     **{
         f"explore{problem}": (
             ["explore", "--problem", str(problem), "--p", "2", "--n", "6"],

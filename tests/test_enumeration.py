@@ -31,6 +31,7 @@ from ccelab.enumeration import (
     _first_rows,
     _kr_iq_shapes,
     _poset_rows,
+    _preorder_rows,
 )
 from ccelab.graphs import canonical_form, complete_plus_isolated
 
@@ -166,6 +167,28 @@ def test_foot_gated_loopless_leaves_are_the_labeled_interval_orders():
         assert count + gate.counted == 1 << (n * n - n)
 
 
+PREORDER_COUNTS = [1, 1, 4, 29, 355, 6942]            # OEIS A000798
+
+
+def test_preorder_counts_match_known_sequence():
+    assert [sum(1 for _ in _preorder_rows(n)) for n in range(6)] == PREORDER_COUNTS
+
+
+def test_preorder_rows_are_the_containment_preorders_of_all_row_tuples():
+    # the props row lemmas read rows only through their containment
+    # preorder, so the generator must give each preorder of n rows once, as
+    # down-set rows that are their own containment preorder, by ascending mask
+    for n in range(4):
+        generated = list(_preorder_rows(n))
+        for mask, rows in generated:
+            assert mask == sum(row << (x * n) for x, row in enumerate(rows))
+            assert oracles.containment_preorder(n, mask) == rows
+        expected = {oracles.containment_preorder(n, m) for m in range(1 << (n * n))}
+        assert [rows for _, rows in generated] == sorted(
+            expected, key=lambda rows: sum(row << (x * n) for x, row in enumerate(rows))
+        )
+
+
 def test_enumeration_order_and_uniqueness():
     seen = [d.arc_mask() for d in enumerate_digraphs(EnumerationFilter(3, loopless=True))]
     assert seen == sorted(seen)
@@ -187,16 +210,16 @@ def no_sweep(*args, **kwargs):
 
 
 def test_props_has_its_own_cap(monkeypatch):
-    # props visits all 2^(n^2) digraphs, and n = 5 does not finish
+    # props covers all 2^(n^2) digraphs; both of its passes run _digraph_rows
     monkeypatch.delenv(CAP_ENV_VAR, raising=False)
-    monkeypatch.setattr(enumeration, "_run_scan", no_sweep)
-    with pytest.raises(ResourceCapError, match="props enumeration cap 4"):
-        verify_theorem_props(5)
-    enumeration._check_cap(4, "props", None)
-    enumeration._check_cap(5, "general", None)
-    enumeration._check_cap(5, "props", 5)               # an explicit cap
-    monkeypatch.setenv(CAP_ENV_VAR, "5")
+    monkeypatch.setattr(enumeration, "_digraph_rows", no_sweep)
+    with pytest.raises(ResourceCapError, match="props enumeration cap 5"):
+        verify_theorem_props(6)
     enumeration._check_cap(5, "props", None)
+    enumeration._check_cap(6, "general", None)
+    enumeration._check_cap(6, "props", 6)               # an explicit cap
+    monkeypatch.setenv(CAP_ENV_VAR, "6")
+    enumeration._check_cap(6, "props", None)
 
 
 def test_cap_refusal_and_env_override(monkeypatch):
@@ -442,7 +465,10 @@ def test_verify_acyclic_small(p, n):
 
 def test_verify_props_small():
     assert verify_theorem_props(2).verified
-    assert verify_theorem_props(3).verified
+    seen = []
+    assert verify_theorem_props(3, progress=lambda *step: seen.append(step)).verified
+    # one chunk per top-vertex row at p = 2, then at p = 3, counted on
+    assert seen == [(i, 16) for i in range(1, 17)]
 
 
 def test_sweeps_deterministic_across_worker_counts():
@@ -452,7 +478,7 @@ def test_sweeps_deterministic_across_worker_counts():
             assert outcome == SweepOutcome(2**20)
             outcome = verify_theorem_acyclic(p, 5, workers=workers)
             assert outcome == SweepOutcome(DAG_COUNTS[5])
-        assert verify_theorem_props(3, workers=workers) == verify_theorem_props(3)
+        assert verify_theorem_props(4, workers=workers) == SweepOutcome(2**16)
 
 
 # The report must carry the least flagged mask, the first one the scan
@@ -519,22 +545,50 @@ def test_theorem_checker_sees_exactly_the_digraphs_meeting_c_and_c_prime(monkeyp
 
 
 def test_props_counterexample_is_least_mask(monkeypatch):
-    # the flagged digraphs lie in several chunks, and at n = 2 the first
-    # chunk has none: the report must be the first violation of the first
-    # chunk that has one
-    def flag(n, p, ctx, mask, out, inc):
-        return "2 arcs, none from 0" if not out[0] and bin(mask).count("1") >= 2 else None
+    # the clique scans cut every digraph failing C(p) or C'(p), so the
+    # checker flags only digraphs meeting both, at one level: the report is
+    # the least flagged mask of that level's scan
+    for level, sizes in ((2, (2, 3, 4)), (3, (3, 4))):
+        def flag_at_level(n, p, ctx, mask, out, inc):
+            return flag_three_arcs(n, p, ctx, mask, out, inc) if p == level else None
 
-    monkeypatch.setitem(_CHECKERS, "props", flag)
-    for n in (2, 3):
+        monkeypatch.setitem(_CHECKERS, "clique", flag_at_level)
+        for n in sizes:
+            outcome = verify_theorem_props(n, workers=1)
+            least = next(m for m in range(1 << (n * n)) if flagged(n, level, m))
+            assert outcome.checked == 1 << (n * n)
+            assert outcome.counterexample == (
+                Digraph.from_arc_mask(n, least), "at least 3 arcs, C and C'"
+            )
+
+
+def test_clique_checker_flags_a_core_that_is_not_a_clique():
+    # CCE edges 0-1, 1-2 and 3-4: a core of 5 vertices, not a clique
+    d = Digraph(5, [(0, 3), (1, 3), (1, 4), (2, 4), (3, 0), (3, 1), (4, 1), (4, 2)])
+    check = _CHECKERS["clique"]
+    args = (d.arc_mask(), d.out_masks, d.in_masks)
+    assert check(5, 2, None, *args) == "clique proposition fails at p=2"
+    assert check(5, 3, None, *args) == "clique proposition fails at p=3"
+    assert check(3, 3, None, 0, (0, 0, 0), (0, 0, 0)) is None
+
+
+def test_props_row_lemma_failure_reports_the_least_failing_preorder(monkeypatch):
+    # a row-lemma failure names the digraph whose out-rows are the down-set
+    # rows of the least failing preorder, a digraph whose out-rows break it
+    def two_arcs_off_the_diagonal(n, rows, subsets):
+        arcs = sum(bin(row).count("1") for row in rows) - n
+        return "2 arcs off the diagonal" if arcs >= 2 else None
+
+    monkeypatch.setattr(enumeration, "_row_lemma_failure", two_arcs_off_the_diagonal)
+    for n in (2, 3, 4):
         outcome = verify_theorem_props(n, workers=1)
         least = next(
             m for m in range(1 << (n * n))
-            if bin(m).count("1") >= 2 and not Digraph.from_arc_mask(n, m).out_masks[0]
+            if oracles.is_preorder_mask(n, m) and bin(m).count("1") >= n + 2
         )
         assert outcome.checked == 1 << (n * n)
         assert outcome.counterexample == (
-            Digraph.from_arc_mask(n, least), "2 arcs, none from 0"
+            Digraph.from_arc_mask(n, least), "2 arcs off the diagonal"
         )
 
 
