@@ -11,9 +11,11 @@ import os
 
 # kind -> largest n (dk: |V(G)| + k_max); timings on a 2-CPU VM, Python 3.11
 DEFAULT_CAPS = {
-    # enumerate_digraphs over all or loopless digraphs, and the main0/kr
-    # poset sweeps (~7-8 s at n = 6)
+    # enumerate_digraphs over all 2^(n^2) or loopless digraphs
     "general": 6,
+    # the main0/kr sweeps over the labeled posets: n = 7 (6,129,859 posets)
+    # takes ~120-130 s on one core, n = 6 ~2.5-3 s
+    "order": 7,
     # the loopless theorem sweep: n = 7 takes ~99 s (p = 2) and ~142 s
     # (p = 3) on 2 workers
     "loopless": 7,

@@ -99,21 +99,10 @@ class Digraph:
         return not any(u == v for (u, v) in self.arcs)
 
     def is_acyclic(self) -> bool:
-        """True iff the arc relation has no directed cycle (a loop counts)."""
-        alive = (1 << self.n) - 1
+        """True iff the arc relation has no directed cycle (a loop counts):
+        no vertex reaches itself (ancestors over out-rows finds descendants)."""
         out = self.out_masks
-        removed = True
-        while alive and removed:
-            removed = False
-            m = alive
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                m ^= low
-                if not (out[v] & alive):
-                    alive ^= low
-                    removed = True
-        return alive == 0
+        return not any(ancestors(v, out) >> v & 1 for v in range(self.n))
 
     def reverse(self) -> "Digraph":
         """The digraph with every arc (u, v) replaced by (v, u)."""

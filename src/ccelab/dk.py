@@ -33,11 +33,11 @@ Pruning (all exact, no completeness loss):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .caps import ResourceCapError, resolved_cap
 from .digraph import Digraph, ancestors, bits_of, submasks
-from .graphs import SimpleGraph, isolated_vertices
+from .graphs import SimpleGraph, cce_adj, isolated_vertices
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def search_realization(g: SimpleGraph, k: int) -> Optional[Digraph]:
 
     def place(v: int) -> bool:
         if v == total:
-            return _cce_matches(total, outs, ins, target)
+            return cce_adj(outs, ins) == target
         unassigned = full >> v << v
         for x, y, pair in edge_pairs:
             if not (ins[x] & ins[y]
@@ -159,14 +159,3 @@ def search_realization(g: SimpleGraph, k: int) -> Optional[Digraph]:
         )
     return None
 
-
-def _cce_matches(
-    total: int, outs: Sequence[int], ins: Sequence[int], target: Sequence[int]
-) -> bool:
-    for x in range(total):
-        ox, ix, tx = outs[x], ins[x], target[x]
-        for y in range(x + 1, total):
-            has_edge = bool(ox & outs[y]) and bool(ix & ins[y])
-            if has_edge != bool((tx >> y) & 1):
-                return False
-    return True

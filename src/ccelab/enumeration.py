@@ -5,13 +5,15 @@ Enumeration is labeled (no isomorphism reduction), arc (u, v) <-> bit
 u*n + v.  One generator, _digraph_rows, yields (mask, out-rows, in-rows)
 for each of the three spaces an EnumerationFilter selects (all digraphs,
 loopless, acyclic) by assigning out-rows from the top vertex down, so
-every space comes out in ascending mask order; the order sweeps (main0,
-kr) keep the transitive DAGs, i.e. the labeled posets.  The loopless and
-acyclic sweeps and the props clique scans run that generator in one chunk
-per top-vertex row, taken in mask order; the props row lemmas run once per
-labeled preorder (_preorder_rows).  Sweeps never stop early, and the first
-hit of a sweep (its first counterexample, each class's first witness) is
-the least-mask one, so the outcome is identical for any worker count.
+every space comes out in ascending mask order.  The order sweeps (main0,
+kr) run it over the DAGs through a transitivity gate that cuts a branch
+once its rows stop being transitive, so they visit only the labeled
+posets (_poset_rows).  The loopless and acyclic sweeps and the props
+clique scans run it in one chunk per top-vertex row, taken in mask order;
+the props row lemmas run once per labeled preorder (_preorder_rows).
+Sweeps never stop early, and the first hit of a sweep (its first
+counterexample, each class's first witness) is the least-mask one, so the
+outcome is identical for any worker count.
 
 The heavy sweeps work on raw masks and neighborhood rows; Digraph objects
 are only materialized for witnesses and reports.  Mask-level logic is
@@ -41,8 +43,8 @@ from .graphs import (
     niche_adj,
 )
 from .orders import (
+    cuts_intransitive,
     interval_feasible_masks,
-    is_transitive,
     semiorder_feasible_masks,
 )
 
@@ -270,18 +272,18 @@ def dag_masks(n: int, cap: Optional[int] = None) -> Tuple[int, ...]:
 
 # -- chunked scan ----------------------------------------------------------------
 #
-# Each sweep provides a checker(n, p, ctx, mask, out_rows, in_rows) returning
-# None (digraph fine) or a tag string (violation); ctx is always None.  A
-# sweep is cut into one chunk per level p and top-vertex row; chunks always
-# scan their whole share of the space, so the outcome is worker-count
-# independent.  Within a level each chunk lies wholly above the one before
-# it, so the first violation of the first chunk that has one is the
-# least-mask counterexample of the first level that has one.  Every checker
-# passes each digraph failing C(p) or C'(p), so the scan's foot gate cuts
-# those branches instead of visiting them and, outside the DAGs, counts them.
+# Each sweep provides a checker(n, p, mask, out_rows, in_rows) returning
+# None (digraph fine) or a tag string (violation).  A sweep is cut into one
+# chunk per level p and top-vertex row; chunks always scan their whole share
+# of the space, so the outcome is worker-count independent.  Within a level
+# each chunk lies wholly above the one before it, so the first violation of
+# the first chunk that has one is the least-mask counterexample of the first
+# level that has one.  Every checker passes each digraph failing C(p) or
+# C'(p), so the scan's foot gate cuts those branches instead of visiting
+# them and, outside the DAGs, counts them.
 
 
-def _checker_core_shape(n, p, ctx, mask, out, inc):
+def _checker_core_shape(n, p, mask, out, inc):
     """For a digraph meeting both foot conditions at p, as every leaf of a
     foot-gated scan does: a CCE core of at least p vertices must be a clique
     beside at least 2 isolated vertices.  That is the loopless only-if
@@ -297,7 +299,7 @@ def _checker_core_shape(n, p, ctx, mask, out, inc):
     return None
 
 
-def _checker_clique(n, p, ctx, mask, out, inc):
+def _checker_clique(n, p, mask, out, inc):
     """The clique proposition at p, for a digraph meeting both foot
     conditions at p, as every leaf of a foot-gated scan does: a CCE core of
     at least p vertices is a clique."""
@@ -322,7 +324,7 @@ def _scan(
     first: Optional[Tuple[int, str]] = None
     for mask, out, inc in _digraph_rows(filt, first_row, gate):
         checked += 1
-        res = checker(n, p, None, mask, out, inc)
+        res = checker(n, p, mask, out, inc)
         if res is not None and first is None:
             first = (mask, res)
     return checked + gate.counted, first
@@ -432,15 +434,15 @@ def verify_theorem_acyclic(
 
 def _poset_rows(n: int) -> Iterator[Tuple[int, List[int], List[int]]]:
     """Every labeled poset (transitive DAG) on n as (arc mask, out-rows,
-    in-rows), from _digraph_rows.
+    in-rows): the rows of _digraph_rows over the DAGs, cut by the
+    cuts_intransitive gate, so the masks ascend (OEIS A001035: 1, 1, 3, 19,
+    219, 4231, 130023).
 
     Any digraph admitting a semiorder or interval representation is one of
     these (chaining the defining inequalities rules out cycles and
     transitivity gaps), so the order-family sweeps only need this space.
     """
-    for rows in _digraph_rows(EnumerationFilter(n, acyclic=True)):
-        if is_transitive(rows[1]):
-            yield rows
+    return _digraph_rows(EnumerationFilter(n, acyclic=True), gate=cuts_intransitive)
 
 
 def _canon_memo() -> Callable[[Sequence[int]], int]:
@@ -518,7 +520,7 @@ def verify_theorem_main0(
 ) -> SweepOutcome:
     """CCE images of semiorders = CCE images of interval orders
     = {K_r u I_q : r >= 2 implies q >= 2}, as isomorphism classes at size n."""
-    _check_cap(n, "general", cap)
+    _check_cap(n, "order", cap)
     return _family_sweep(n, True, _kr_iq_shapes(n, 2))
 
 
@@ -526,20 +528,8 @@ def verify_theorem_kr(
     n: int, workers: int = 1, cap: Optional[int] = None
 ) -> SweepOutcome:
     """Competition-graph analog: shapes K_r u I_q with r >= 2 implies q >= 1."""
-    _check_cap(n, "general", cap)
+    _check_cap(n, "order", cap)
     return _family_sweep(n, False, _kr_iq_shapes(n, 1))
-
-
-def _cuts_intransitive(v: int, out: Sequence[int], ins: Sequence[int]) -> bool:
-    """A gate for _digraph_rows: cuts a branch once v's row breaks
-    transitivity against an assigned row, x added to each row[x].  Assigned
-    rows are final, so every leaf left is transitive."""
-    down = out[v] | 1 << v
-    for x in range(v + 1, len(out)):
-        row = out[x] | 1 << x
-        if (down >> x & 1 and row & ~down) or (row >> v & 1 and down & ~row):
-            return True
-    return False
 
 
 def _preorder_rows(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
@@ -548,7 +538,7 @@ def _preorder_rows(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     row[x], so the masks ascend (OEIS A000798: 1, 4, 29, 355, 6942)."""
     diagonal = sum(1 << x * (n + 1) for x in range(n))
     filt = EnumerationFilter(n, loopless=True)
-    for mask, out, _ in _digraph_rows(filt, gate=_cuts_intransitive):
+    for mask, out, _ in _digraph_rows(filt, gate=cuts_intransitive):
         yield mask | diagonal, tuple(row | 1 << x for x, row in enumerate(out))
 
 

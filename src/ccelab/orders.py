@@ -97,19 +97,22 @@ def interval_order_from(rep: IntervalRep, n: Optional[int] = None) -> Digraph:
 #
 # Any representable digraph (either model) is loopless, has no 2-cycles and is
 # transitive; all three follow from chaining the defining inequalities.  The
-# rejects keep the exhaustive sweeps fast and are implied by the full checks.
+# rejects are implied by the full checks; the transitivity test also gates
+# the poset and preorder generators of the enumeration sweeps.
 
 
-def is_transitive(out: Sequence[int]) -> bool:
-    """True iff every out-row contains the out-rows of its members."""
-    for row in out:
-        m = row
-        while m:
-            low = m & -m
-            if out[low.bit_length() - 1] & ~row:
-                return False
-            m ^= low
-    return True
+def cuts_intransitive(v: int, out: Sequence[int], ins: Sequence[int] = ()) -> bool:
+    """True iff v's row breaks transitivity against a higher vertex's row,
+    x added to each row[x].  Taking every v tests a whole relation; as a
+    _digraph_rows gate (ins unused) it cuts a branch once the rows assigned
+    so far break it, and they are final, so every leaf left is transitive.
+    The added diagonal changes nothing where there are no 2-cycles."""
+    down = out[v] | 1 << v
+    for x in range(v + 1, len(out)):
+        row = out[x] | 1 << x
+        if (down >> x & 1 and row & ~down) or (row >> v & 1 and down & ~row):
+            return True
+    return False
 
 
 def _obviously_not_order(n: int, out: Sequence[int]) -> bool:
@@ -120,7 +123,7 @@ def _obviously_not_order(n: int, out: Sequence[int]) -> bool:
         for w in bits_of(m):
             if (out[w] >> u) & 1:
                 return True                  # 2-cycle
-    return not is_transitive(out)
+    return any(cuts_intransitive(v, out) for v in range(n))
 
 
 # -- semiorder recognition -----------------------------------------------------

@@ -210,10 +210,12 @@ def test_props_above_its_cap_exits_4_before_sweeping(monkeypatch, capsys):
     assert "props enumeration cap 5" in capsys.readouterr().err
 
 
-# one command per cap of the table at cap + 1; K2 stands for a 2-vertex graph
+# one command per cap of the table at cap + 1, but for the general cap, which
+# no command reaches (enumerate_digraphs alone reads it, and
+# test_cap_refusal_and_env_override refuses it); K2 stands for a 2-vertex graph
 CAP_CASES = {
-    "kr": (["verify", "--theorem", "kr", "--n", "7"], "general", 6),
-    "main0": (["verify", "--theorem", "main0", "--n", "7"], "general", 6),
+    "kr": (["verify", "--theorem", "kr", "--n", "8"], "order", 7),
+    "main0": (["verify", "--theorem", "main0", "--n", "8"], "order", 7),
     "loopless": (["verify", "--theorem", "loopless", "--n", "8"], "loopless", 7),
     "acyclic": (["verify", "--theorem", "acyclic", "--n", "8"], "acyclic", 7),
     "props": (["verify", "--theorem", "props", "--n", "6"], "props", 5),
@@ -231,9 +233,9 @@ CAP_CASES = {
 def test_cap_cases_cover_the_cap_table():
     from ccelab.caps import DEFAULT_CAPS
 
-    assert {(kind, cap) for _, kind, cap in CAP_CASES.values()} == set(
-        DEFAULT_CAPS.items()
-    )
+    covered = {(kind, cap) for _, kind, cap in CAP_CASES.values()}
+    assert covered | {("general", 6)} == set(DEFAULT_CAPS.items())
+    assert ("general", 6) not in covered
 
 
 @pytest.mark.parametrize("name", sorted(CAP_CASES))

@@ -3,6 +3,8 @@ import pytest
 from ccelab import Digraph, semiorder_from, witness_loopless
 from ccelab.orders import SemiorderRep
 
+import oracles
+
 
 def test_out_neighbors_examples():
     d = Digraph(3, [(0, 2), (1, 2)])
@@ -42,6 +44,13 @@ def test_is_acyclic():
     assert not Digraph(1, [(0, 0)]).is_acyclic()
     semi = semiorder_from(SemiorderRep((2, 0, 0, -2), 1))
     assert semi.is_acyclic()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_is_acyclic_matches_permutation_oracle(n):
+    dags = oracles.dag_mask_set(n)
+    for mask in range(1 << (n * n)):
+        assert Digraph.from_arc_mask(n, mask).is_acyclic() == (mask in dags)
 
 
 def test_arc_validation():

@@ -293,9 +293,16 @@ def brute_force_posets(n):
     return frozenset(posets)
 
 
+POSET_COUNTS = [1, 1, 3, 19, 219, 4231, 130023]    # OEIS A001035
+
+
 def test_poset_masks_cover_exactly_the_transitive_antisymmetric_loopless():
     for n in range(5):
         assert {mask for mask, _, _ in _poset_rows(n)} == brute_force_posets(n)
+    for n, count in enumerate(POSET_COUNTS):
+        masks = [mask for mask, _, _ in _poset_rows(n)]
+        assert len(masks) == count
+        assert masks == sorted(set(masks))              # ascending, unique
 
 
 def test_main0_and_kr_count_the_posets_they_sweep():
@@ -489,7 +496,7 @@ def flagged(n, p, mask):
     return three_arcs and {"C", "Cp"} <= conditions_met(n, mask, p)
 
 
-def flag_three_arcs(n, p, ctx, mask, out, inc):
+def flag_three_arcs(n, p, mask, out, inc):
     return "at least 3 arcs, C and C'" if flagged(n, p, mask) else None
 
 
@@ -525,7 +532,7 @@ def test_theorem_checker_sees_exactly_the_digraphs_meeting_c_and_c_prime(monkeyp
     # coincide with them only at p = 2) and visit every digraph meeting both
     seen = []
 
-    def record(n, p, ctx, mask, out, inc):
+    def record(n, p, mask, out, inc):
         seen.append(mask)
 
     def loopless_masks(n):
@@ -549,8 +556,8 @@ def test_props_counterexample_is_least_mask(monkeypatch):
     # checker flags only digraphs meeting both, at one level: the report is
     # the least flagged mask of that level's scan
     for level, sizes in ((2, (2, 3, 4)), (3, (3, 4))):
-        def flag_at_level(n, p, ctx, mask, out, inc):
-            return flag_three_arcs(n, p, ctx, mask, out, inc) if p == level else None
+        def flag_at_level(n, p, mask, out, inc):
+            return flag_three_arcs(n, p, mask, out, inc) if p == level else None
 
         monkeypatch.setitem(_CHECKERS, "clique", flag_at_level)
         for n in sizes:
@@ -567,9 +574,9 @@ def test_clique_checker_flags_a_core_that_is_not_a_clique():
     d = Digraph(5, [(0, 3), (1, 3), (1, 4), (2, 4), (3, 0), (3, 1), (4, 1), (4, 2)])
     check = _CHECKERS["clique"]
     args = (d.arc_mask(), d.out_masks, d.in_masks)
-    assert check(5, 2, None, *args) == "clique proposition fails at p=2"
-    assert check(5, 3, None, *args) == "clique proposition fails at p=3"
-    assert check(3, 3, None, 0, (0, 0, 0), (0, 0, 0)) is None
+    assert check(5, 2, *args) == "clique proposition fails at p=2"
+    assert check(5, 3, *args) == "clique proposition fails at p=3"
+    assert check(3, 3, 0, (0, 0, 0), (0, 0, 0)) is None
 
 
 def test_props_row_lemma_failure_reports_the_least_failing_preorder(monkeypatch):
