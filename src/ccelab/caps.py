@@ -25,7 +25,8 @@ DEFAULT_CAPS = {
     # the proposition bundle over all 2^(n^2) digraphs: n = 5 takes ~9 s on
     # 2 workers and ~12-16 s on one
     "props": 5,
-    # explore: problem 3 at n = 5 takes ~174 s on one core, problems 1/2 ~5 s
+    # explore: at n = 5 problem 3 takes ~18 s (p = 2) and ~31 s (p = 3) on one
+    # core, ~12 s and ~19 s on 2 workers; problems 1 and 2 take ~4-7 s
     "explore": 5,
     # dk search, every stratum within 2 s
     "dk": 7,

@@ -226,9 +226,9 @@ def _cmd_verify(args) -> int:
 
     theorem = args.theorem
     if theorem == "kr":
-        outcome = _cli.verify_theorem_kr(args.n, workers=workers)
+        outcome = _cli.verify_theorem_kr(args.n)
     elif theorem == "main0":
-        outcome = _cli.verify_theorem_main0(args.n, workers=workers)
+        outcome = _cli.verify_theorem_main0(args.n)
     elif theorem == "loopless":
         outcome = _cli.verify_theorem_loopless(
             args.p, args.n, workers=workers, progress=progress
@@ -385,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--threads", type=int, default=0,
-                   help="ignored: explore runs in one process")
+                   help="worker processes (0 = one per CPU)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_explore)
 

@@ -60,14 +60,6 @@ class ConditionReport:
     violating_set: Optional[FrozenSet[int]] = None
 
 
-def _checked_members(d: Digraph, vertices: Iterable[int]) -> List[int]:
-    members = sorted(set(int(v) for v in vertices))
-    for v in members:
-        if not (0 <= v < d.n):
-            raise ValueError(f"vertex {v} out of range for n={d.n}")
-    return members
-
-
 def _foot_members(masks: Sequence[int], members: Sequence[int]) -> List[int]:
     it = iter(members)
     inter = masks[next(it)]
@@ -83,36 +75,39 @@ def _head_members(masks: Sequence[int], members: Sequence[int]) -> List[int]:
     return [x for x in members if masks[x] == union]
 
 
-def foot_set_plus(d: Digraph, vertices: Iterable[int]) -> FrozenSet[int]:
-    """Members of S whose out-neighborhood is contained in every member's."""
-    members = _checked_members(d, vertices)
+def _kind_set(
+    kind: ConditionKind, d: Digraph, vertices: Iterable[int]
+) -> FrozenSet[int]:
+    """The foot or head set of S on the out- or in-rows, as the kind reads them."""
+    members = sorted(set(int(v) for v in vertices))
+    for v in members:
+        if not (0 <= v < d.n):
+            raise ValueError(f"vertex {v} out of range for n={d.n}")
     if not members:
         return frozenset()
-    return frozenset(_foot_members(d.out_masks, members))
+    masks = d.in_masks if kind.uses_in_masks else d.out_masks
+    pick = _head_members if kind.uses_head else _foot_members
+    return frozenset(pick(masks, members))
+
+
+def foot_set_plus(d: Digraph, vertices: Iterable[int]) -> FrozenSet[int]:
+    """Members of S whose out-neighborhood is contained in every member's."""
+    return _kind_set(ConditionKind.C, d, vertices)
 
 
 def foot_set_minus(d: Digraph, vertices: Iterable[int]) -> FrozenSet[int]:
     """Members of S whose in-neighborhood is contained in every member's."""
-    members = _checked_members(d, vertices)
-    if not members:
-        return frozenset()
-    return frozenset(_foot_members(d.in_masks, members))
+    return _kind_set(ConditionKind.C_PRIME, d, vertices)
 
 
 def head_set_plus(d: Digraph, vertices: Iterable[int]) -> FrozenSet[int]:
     """Members of S whose out-neighborhood contains every member's."""
-    members = _checked_members(d, vertices)
-    if not members:
-        return frozenset()
-    return frozenset(_head_members(d.out_masks, members))
+    return _kind_set(ConditionKind.C_STAR, d, vertices)
 
 
 def head_set_minus(d: Digraph, vertices: Iterable[int]) -> FrozenSet[int]:
     """Members of S whose in-neighborhood contains every member's."""
-    members = _checked_members(d, vertices)
-    if not members:
-        return frozenset()
-    return frozenset(_head_members(d.in_masks, members))
+    return _kind_set(ConditionKind.C_STAR_PRIME, d, vertices)
 
 
 def first_empty_foot(

@@ -8,12 +8,13 @@ loopless, acyclic) by assigning out-rows from the top vertex down, so
 every space comes out in ascending mask order.  The order sweeps (main0,
 kr) run it over the DAGs through a transitivity gate that cuts a branch
 once its rows stop being transitive, so they visit only the labeled
-posets (_poset_rows).  The loopless and acyclic sweeps and the props
-clique scans run it in one chunk per top-vertex row, taken in mask order;
-the props row lemmas run once per labeled preorder (_preorder_rows).
-Sweeps never stop early, and the first hit of a sweep (its first
-counterexample, each class's first witness) is the least-mask one, so the
-outcome is identical for any worker count.
+posets (_poset_rows).  The loopless and acyclic sweeps, the props clique
+scans and the explore surveys run it through a condition gate in one chunk
+per top-vertex row, taken in mask order (_run_scan); the props row lemmas
+run once per labeled preorder (_preorder_rows).  Sweeps never stop early,
+and the first hit of a sweep (its first counterexample, each class's first
+witness) is the least-mask one, so the outcome is identical for any worker
+count.
 
 The heavy sweeps work on raw masks and neighborhood rows; Digraph objects
 are only materialized for witnesses and reports.  Mask-level logic is
@@ -29,7 +30,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .caps import CAP_ENV_VAR, ResourceCapError, resolved_cap
-from .conditions import first_empty_foot, first_empty_head
+from .conditions import ConditionKind, first_empty_foot, first_empty_head
 from .digraph import Digraph, ancestors, submasks
 from .graphs import (
     SimpleGraph,
@@ -158,24 +159,37 @@ def _first_rows(filt: EnumerationFilter) -> Iterator[int]:
     return submasks(_row_rule(filt)(n - 1, [0] * n) if n else 0)
 
 
+_FOOT = (ConditionKind.C, ConditionKind.C_PRIME)
+
+
 class _ConditionGate:
-    """Cuts a branch of _digraph_rows once some p-set has an empty foot set
-    (first_empty_foot) or head set (first_empty_head) on the out-rows or on
-    the in-rows assigned so far, and adds the digraphs below each cut branch
-    to `counted`: 2^((n-1)r) loopless or 2^(nr) in all, for r unassigned
-    vertices.  The acyclic space has none, so there it counts nothing.
+    """Cuts a branch of _digraph_rows once some p-set has an empty foot or
+    head set, as the condition kinds ask (at most one kind on the out-rows
+    and one on the in-rows), on the rows assigned so far, and adds the
+    digraphs below each cut branch to `counted`: 2^((n-1)r) loopless or
+    2^(nr) in all, for r unassigned vertices.  The acyclic space has none,
+    so there it counts nothing.
 
     A cut is final.  The out-rows of a p-set among the assigned vertices are
     final.  On the in-rows, a member x is not a foot (head) of S through an
     assigned source u in in(x) minus in(y) (in(y) minus in(x)) for some y
     in S, and later rows leave u in place.  So every digraph below a cut
-    fails the condition pair, and every leaf still yielded meets both.
+    fails a condition of the kinds, and every leaf still yielded meets all.
     """
 
-    def __init__(self, filt: EnumerationFilter, p: int, first_empty: Callable):
+    def __init__(
+        self, filt: EnumerationFilter, p: int, kinds: Sequence[ConditionKind]
+    ):
         n = filt.n
         subsets = tuple(itertools.combinations(range(n), p))
-        self.first_empty = first_empty
+        # whether a kind reads the in-rows -> its test; a side without a kind
+        # never cuts
+        tests = {
+            k.uses_in_masks: first_empty_head if k.uses_head else first_empty_foot
+            for k in kinds
+        }
+        never = lambda masks, subsets: None
+        self.out_empty, self.in_empty = tests.get(False, never), tests.get(True, never)
         # the p-sets whose out-rows vertex v's row completes: rows are
         # assigned from the top vertex down, so those whose lowest member is v
         self.closing = [tuple(s for s in subsets if s[0] == v) for v in range(n)]
@@ -193,10 +207,9 @@ class _ConditionGate:
 
     def __call__(self, v: int, out: Sequence[int], ins: Sequence[int]) -> bool:
         """True (and the branch counted) when the branch at v's row is cut."""
-        first_empty = self.first_empty
         if (
-            first_empty(out, self.closing[v]) is None
-            and first_empty(ins, self.touched[out[v]]) is None
+            self.out_empty(out, self.closing[v]) is None
+            and self.in_empty(ins, self.touched[out[v]]) is None
         ):
             return False
         self.counted += self.completions[v]
@@ -273,14 +286,24 @@ def dag_masks(n: int, cap: Optional[int] = None) -> Tuple[int, ...]:
 # -- chunked scan ----------------------------------------------------------------
 #
 # Each sweep provides a checker(n, p, mask, out_rows, in_rows) returning
-# None (digraph fine) or a tag string (violation).  A sweep is cut into one
-# chunk per level p and top-vertex row; chunks always scan their whole share
-# of the space, so the outcome is worker-count independent.  Within a level
-# each chunk lies wholly above the one before it, so the first violation of
-# the first chunk that has one is the least-mask counterexample of the first
-# level that has one.  Every checker passes each digraph failing C(p) or
-# C'(p), so the scan's foot gate cuts those branches instead of visiting
-# them and, outside the DAGs, counts them.
+# None or a key: a violation tag, or a class's canonical form.  A sweep is
+# cut into one chunk per level p and top-vertex row; chunks always scan their
+# whole share of the space, so the outcome is worker-count independent.
+# Each chunk keeps the first mask per key, and within a level each chunk
+# lies wholly above the one before it, so merging the chunks' keys in chunk
+# order keeps each key's least mask, and the merged first key is the
+# least-mask counterexample of the first level that has one.  A checker
+# passes every digraph failing a condition of its sweep's kinds, so the
+# scan's gate cuts those branches instead of visiting them and, outside the
+# DAGs, counts them.
+
+
+@lru_cache(maxsize=None)
+def _canon(adj: Tuple[int, ...]) -> int:
+    """The canonical form of the graph with the given adjacency rows; each
+    class sweep clears the cache as it starts, so it computes each form of
+    the sweep once (per worker process)."""
+    return canonical_form(graph_of_adj(adj))
 
 
 def _checker_core_shape(n, p, mask, out, inc):
@@ -307,39 +330,56 @@ def _checker_clique(n, p, mask, out, inc):
     return f"clique proposition fails at p={p}" if core >= p and not clique else None
 
 
+def _checker_small_core_class(n, p, mask, out, inc):
+    """The CCE class of a digraph whose CCE core has fewer than p vertices."""
+    adj = cce_adj(out, inc)
+    return _canon(tuple(adj)) if sum(1 for row in adj if row) < p else None
+
+
 _CHECKERS: Dict[str, Callable] = {
     "core_shape": _checker_core_shape,
     "clique": _checker_clique,
+    "small_core_class": _checker_small_core_class,
+    "cce_class": lambda n, p, mask, out, inc: _canon(tuple(cce_adj(out, inc))),
+    "niche_class": lambda n, p, mask, out, inc: _canon(tuple(niche_adj(out, inc))),
 }
 
+
 def _scan(
-    sweep: str, filt: EnumerationFilter, p: int, first_row: int
-) -> Tuple[int, Optional[Tuple[int, str]]]:
-    """Check the digraphs of the space whose top-vertex row is first_row;
-    returns (checked, first violation or None)."""
+    sweep: str,
+    filt: EnumerationFilter,
+    p: int,
+    kinds: Sequence[ConditionKind],
+    first_row: int,
+) -> Tuple[int, Dict[object, int]]:
+    """Check the digraphs of the space whose top-vertex row is first_row and
+    that meet the condition kinds at p; returns (checked, first mask per
+    key)."""
     checker = _CHECKERS[sweep]
     n = filt.n
-    gate = _ConditionGate(filt, p, first_empty_foot)
+    gate = _ConditionGate(filt, p, kinds)
     checked = 0
-    first: Optional[Tuple[int, str]] = None
+    found: Dict[object, int] = {}
     for mask, out, inc in _digraph_rows(filt, first_row, gate):
         checked += 1
-        res = checker(n, p, mask, out, inc)
-        if res is not None and first is None:
-            first = (mask, res)
-    return checked + gate.counted, first
+        key = checker(n, p, mask, out, inc)
+        if key is not None:
+            found.setdefault(key, mask)
+    return checked + gate.counted, found
 
 
 def _run_scan(
     sweep: str,
     filt: EnumerationFilter,
     levels: Sequence[int],
+    kinds: Sequence[ConditionKind],
     workers: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
-) -> Tuple[int, Optional[Tuple[Digraph, str]]]:
-    """Sum of checked and first violation over one _scan per level p and
-    top-vertex row, in chunk order (level by level, one pool for all)."""
-    chunks = [(sweep, filt, p, row) for p in levels for row in _first_rows(filt)]
+) -> Tuple[int, Dict[object, int]]:
+    """Sum of checked, and each key's first mask, over one _scan per level p
+    and top-vertex row, merged in chunk order (level by level, one pool for
+    all)."""
+    chunks = [(sweep, filt, p, kinds, row) for p in levels for row in _first_rows(filt)]
     results = []
     if workers <= 1:
         for i, args in enumerate(chunks):
@@ -356,12 +396,16 @@ def _run_scan(
                 results.append(fut.result())
                 if progress:
                     progress(i + 1, len(chunks))
-    checked = sum(r[0] for r in results)
-    for _, first in results:
-        if first is not None:
-            mask, tag = first
-            return checked, (Digraph.from_arc_mask(filt.n, mask), tag)
-    return checked, None
+    found: Dict[object, int] = {}
+    for _, chunk_found in results:
+        for key, mask in chunk_found.items():
+            found.setdefault(key, mask)
+    return sum(r[0] for r in results), found
+
+
+def _first_violation(n: int, found: Dict[str, int]) -> Optional[Tuple[Digraph, str]]:
+    """The merged first violation of _run_scan as (digraph, tag), or None."""
+    return next(((Digraph.from_arc_mask(n, m), tag) for tag, m in found.items()), None)
 
 
 # -- theorem verifiers ----------------------------------------------------------
@@ -385,8 +429,8 @@ def verify_theorem_loopless(
         raise ValueError(f"p must be at least 2, got {p}")
     _check_cap(n, "loopless", cap)
     filt = EnumerationFilter(n, loopless=True)
-    checked, ce = _run_scan("core_shape", filt, (p,), workers, progress)
-    return SweepOutcome(checked, ce if ce is not None else _verify_witnesses(p, n))
+    checked, found = _run_scan("core_shape", filt, (p,), _FOOT, workers, progress)
+    return SweepOutcome(checked, _first_violation(n, found) or _verify_witnesses(p, n))
 
 
 def _verify_witnesses(p: int, n: int) -> Optional[Tuple[Digraph, str]]:
@@ -400,10 +444,7 @@ def _verify_witnesses(p: int, n: int) -> Optional[Tuple[Digraph, str]]:
         shape = decompose_kr_iq(cce_graph(w))
         if shape is None or (shape.r, shape.q) != (r, q):
             return (w, f"witness CCE graph is not K_{r} u I_{q}")
-        if (
-            first_empty_foot(w.out_masks, subsets) is not None
-            or first_empty_foot(w.in_masks, subsets) is not None
-        ):
+        if any(first_empty_foot(rows, subsets) for rows in (w.out_masks, w.in_masks)):
             return (w, f"witness violates a foot condition at p={p}")
     return None
 
@@ -428,8 +469,8 @@ def verify_theorem_acyclic(
         raise ValueError(f"p must be at least 2, got {p}")
     _check_cap(n, "acyclic", cap)
     filt = EnumerationFilter(n, acyclic=True)
-    _, ce = _run_scan("core_shape", filt, (p,), workers, progress)
-    return SweepOutcome(_dag_count(n), ce)
+    _, found = _run_scan("core_shape", filt, (p,), _FOOT, workers, progress)
+    return SweepOutcome(_dag_count(n), _first_violation(n, found))
 
 
 def _poset_rows(n: int) -> Iterator[Tuple[int, List[int], List[int]]]:
@@ -445,21 +486,6 @@ def _poset_rows(n: int) -> Iterator[Tuple[int, List[int], List[int]]]:
     return _digraph_rows(EnumerationFilter(n, acyclic=True), gate=cuts_intransitive)
 
 
-def _canon_memo() -> Callable[[Sequence[int]], int]:
-    """A map from adjacency rows to the canonical form of their graph that
-    computes each distinct row tuple's form once; build one per sweep."""
-    forms: Dict[Tuple[int, ...], int] = {}
-
-    def canon_of(adj: Sequence[int]) -> int:
-        key = tuple(adj)
-        canon = forms.get(key)
-        if canon is None:
-            canon = forms[key] = canonical_form(graph_of_adj(adj))
-        return canon
-
-    return canon_of
-
-
 def _family_sweep(
     n: int, use_cce: bool, legal_shapes: Dict[int, Tuple[int, int]]
 ) -> SweepOutcome:
@@ -473,14 +499,14 @@ def _family_sweep(
     """
     semi_classes: Dict[int, int] = {}
     interval_classes: Dict[int, int] = {}
-    canon_of = _canon_memo()
+    _canon.cache_clear()
     checked = 0
     for mask, out, inc in _poset_rows(n):
         checked += 1
         if not interval_feasible_masks(n, out):
             # semiorders are interval orders; neither family applies
             continue
-        canon = canon_of(cce_adj(out, inc) if use_cce else competition_adj(out))
+        canon = _canon(tuple(cce_adj(out, inc) if use_cce else competition_adj(out)))
         interval_classes.setdefault(canon, mask)
         if canon not in semi_classes and semiorder_feasible_masks(n, out):
             semi_classes[canon] = mask
@@ -515,18 +541,14 @@ def _kr_iq_shapes(n: int, q_min: int) -> Dict[int, Tuple[int, int]]:
     return shapes
 
 
-def verify_theorem_main0(
-    n: int, workers: int = 1, cap: Optional[int] = None
-) -> SweepOutcome:
+def verify_theorem_main0(n: int, cap: Optional[int] = None) -> SweepOutcome:
     """CCE images of semiorders = CCE images of interval orders
     = {K_r u I_q : r >= 2 implies q >= 2}, as isomorphism classes at size n."""
     _check_cap(n, "order", cap)
     return _family_sweep(n, True, _kr_iq_shapes(n, 2))
 
 
-def verify_theorem_kr(
-    n: int, workers: int = 1, cap: Optional[int] = None
-) -> SweepOutcome:
+def verify_theorem_kr(n: int, cap: Optional[int] = None) -> SweepOutcome:
     """Competition-graph analog: shapes K_r u I_q with r >= 2 implies q >= 1."""
     _check_cap(n, "order", cap)
     return _family_sweep(n, False, _kr_iq_shapes(n, 1))
@@ -593,9 +615,9 @@ def verify_theorem_props(
         if tag is not None:
             ce = (Digraph.from_arc_mask(n, mask), tag)
             break
-    levels = range(2, min(n, 3) + 1)
-    _, found = _run_scan("clique", EnumerationFilter(n), levels, workers, progress)
-    return SweepOutcome(1 << n * n, ce or found)
+    filt, levels = EnumerationFilter(n), range(2, min(n, 3) + 1)
+    _, found = _run_scan("clique", filt, levels, _FOOT, workers, progress)
+    return SweepOutcome(1 << n * n, ce or _first_violation(n, found))
 
 
 # -- open-problem exploration ----------------------------------------------------
@@ -621,6 +643,15 @@ class ExploreReport:
     sections: Dict[str, Tuple[ExploreClass, ...]] = field(default_factory=dict)
 
 
+# problem -> section -> (the condition kinds the section's digraphs meet at
+# p, the checker giving their class)
+_EXPLORE = {
+    1: {"C&Cp": (_FOOT, "small_core_class")},
+    2: {"Cs&Csp": ((ConditionKind.C_STAR, ConditionKind.C_STAR_PRIME), "cce_class")},
+    3: {kind.value: ((kind,), "niche_class") for kind in ConditionKind},
+}
+
+
 def explore_open_problem(
     problem: int,
     p: int,
@@ -633,55 +664,20 @@ def explore_open_problem(
     1: CCE classes of digraphs meeting both foot conditions whose CCE core
        is smaller than p.  2: CCE classes under both head conditions.
        3: niche-graph classes under each of the four conditions separately.
+    Each section is one gated sweep over all 2^(n^2) digraphs, the count
+    reported as checked.
     """
-    if problem not in (1, 2, 3):
+    if problem not in _EXPLORE:
         raise ValueError(f"problem must be 1, 2 or 3, got {problem}")
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     _check_cap(n, "explore", cap)
-    filt = EnumerationFilter(n)
-    subsets = tuple(itertools.combinations(range(n), p))
-    # problems 1 and 2 skip every digraph failing their condition pair, so
-    # the gate cuts those and every digraph yielded meets both conditions
-    first_empty = {1: first_empty_foot, 2: first_empty_head}.get(problem)
-    gate = _ConditionGate(filt, p, first_empty) if first_empty else None
-    found: Dict[str, Dict[int, int]] = {}
-    canon_of = _canon_memo()
-    checked = 0
-    for mask, out, inc in _digraph_rows(filt, gate=gate):
-        checked += 1
-        if problem == 1:
-            adj = cce_adj(out, inc)
-            if sum(1 for row in adj if row) >= p:
-                continue
-            found.setdefault("C&Cp", {}).setdefault(canon_of(adj), mask)
-        elif problem == 2:
-            canon = canon_of(cce_adj(out, inc))
-            found.setdefault("Cs&Csp", {}).setdefault(canon, mask)
-        else:
-            canon = None
-            for section, masks, first_empty in (
-                ("C", out, first_empty_foot),
-                ("Cp", inc, first_empty_foot),
-                ("Cs", out, first_empty_head),
-                ("Csp", inc, first_empty_head),
-            ):
-                if first_empty(masks, subsets) is None:
-                    if canon is None:
-                        canon = canon_of(niche_adj(out, inc))
-                    found.setdefault(section, {}).setdefault(canon, mask)
-    if gate is not None:
-        checked += gate.counted
-
+    _canon.cache_clear()
     sections = {}
-    for section, classes in found.items():
-        entries = [
-            ExploreClass(
-                canonical=canon,
-                graph=graph_from_canonical(n, canon),
-                witness=Digraph.from_arc_mask(n, mask),
-            )
-            for canon, mask in sorted(classes.items())
-        ]
-        sections[section] = tuple(entries)
+    for section, (kinds, sweep) in _EXPLORE[problem].items():
+        checked, classes = _run_scan(sweep, EnumerationFilter(n), (p,), kinds, workers)
+        sections[section] = tuple(
+            ExploreClass(c, graph_from_canonical(n, c), Digraph.from_arc_mask(n, m))
+            for c, m in sorted(classes.items())
+        )
     return ExploreReport(problem, p, n, checked, sections)

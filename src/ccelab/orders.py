@@ -169,8 +169,6 @@ def _semiorder_potentials(
 
 def semiorder_feasible_masks(n: int, out: Sequence[int]) -> bool:
     """Mask-level semiorder test used by the enumeration sweeps."""
-    if n == 0:
-        return True
     return _semiorder_potentials(n, out) is not None
 
 
@@ -207,8 +205,11 @@ def _regenerates(f: Sequence[Fraction], n: int, arcs) -> bool:
 
 
 def _out_chain(out: Sequence[int]) -> Optional[List[int]]:
-    """Distinct out-masks sorted descending if they form a containment chain."""
-    distinct = sorted(set(out), key=lambda m: (bin(m).count("1"), m))
+    """Distinct out-masks sorted descending if they form a containment chain.
+
+    A proper subset is numerically smaller, so a chain ascends by value, and
+    rows whose consecutive values are nested form a chain."""
+    distinct = sorted(set(out))
     for prev, nxt in zip(distinct, distinct[1:]):
         if prev & ~nxt:
             return None

@@ -181,7 +181,7 @@ def test_verify_reports_a_missing_shape_without_a_report_file(
     from ccelab import SweepOutcome, cli
 
     outcome = SweepOutcome(219, missing_shape=(4, 0, "interval order"))
-    monkeypatch.setattr(cli, "verify_theorem_main0", lambda n, workers: outcome)
+    monkeypatch.setattr(cli, "verify_theorem_main0", lambda n: outcome)
     report = tmp_path / "ce.digraph"
     args = ["verify", "--theorem", "main0", "--n", "4", "--report", str(report)]
 

@@ -21,7 +21,7 @@ from ccelab import (
 )
 from ccelab import enumeration
 from ccelab.caps import CAP_ENV_VAR
-from ccelab.conditions import first_empty_foot, first_empty_head
+from ccelab.conditions import ConditionKind, first_empty_foot, first_empty_head
 from ccelab.enumeration import (
     _CHECKERS,
     _ConditionGate,
@@ -39,6 +39,11 @@ import oracles
 
 
 DAG_COUNTS = [1, 1, 3, 25, 543, 29281]
+FOOT = (ConditionKind.C, ConditionKind.C_PRIME)
+HEAD = (ConditionKind.C_STAR, ConditionKind.C_STAR_PRIME)
+# the kinds a gate is built with: each kind alone (explore problem 3), and
+# the foot and head pairs (the theorem sweeps and explore problems 1 and 2)
+GATE_KINDS = [(kind,) for kind in ConditionKind] + [FOOT, HEAD]
 
 
 def test_enumeration_counts_closed_forms():
@@ -99,9 +104,7 @@ def test_every_space_comes_out_ascending_by_mask():
         for n in range(max_n + 1):
             filt = EnumerationFilter(n, *flags)
             gates = [None] + [
-                _ConditionGate(filt, p, first_empty)
-                for p in (2, 3)
-                for first_empty in (first_empty_foot, first_empty_head)
+                _ConditionGate(filt, p, kinds) for p in (2, 3) for kinds in GATE_KINDS
             ]
             for gate in gates:
                 masks = [mask for mask, _, _ in _digraph_rows(filt, gate=gate)]
@@ -124,8 +127,8 @@ def test_acyclic_enumeration_streams():
 
 
 def test_gated_rows_are_exactly_the_digraphs_meeting_the_condition_pair():
-    # a gated generator yields the digraphs meeting both conditions of its
-    # pair, each once and with its own rows, and counts the rest exactly; the
+    # a gated generator yields the digraphs meeting every condition of its
+    # kinds, each once and with its own rows, and counts the rest exactly; the
     # DAGs have no closed-form count, so there it counts nothing
     spaces = (
         ((True, False), 4, lambda n: 1 << (n * n - n)),
@@ -138,17 +141,15 @@ def test_gated_rows_are_exactly_the_digraphs_meeting_the_condition_pair():
             space = [mask for mask, _, _ in _digraph_rows(filt)]
             assert len(space) == size(n)
             for p in (2, 3):
-                for first_empty, pair in (
-                    (first_empty_foot, {"C", "Cp"}),
-                    (first_empty_head, {"Cs", "Csp"}),
-                ):
-                    gate = _ConditionGate(filt, p, first_empty)
+                for kinds in GATE_KINDS:
+                    gate = _ConditionGate(filt, p, kinds)
                     leaves = []
                     for mask, out, inc in _digraph_rows(filt, gate=gate):
                         d = Digraph.from_arc_mask(n, mask)
                         assert (tuple(out), tuple(inc)) == (d.out_masks, d.in_masks)
                         leaves.append(mask)
-                    expected = {m for m in space if pair <= conditions_met(n, m, p)}
+                    met = {kind.value for kind in kinds}
+                    expected = {m for m in space if met <= conditions_met(n, m, p)}
                     assert len(leaves) == len(set(leaves))
                     assert set(leaves) == expected
                     if filt.acyclic:
@@ -162,7 +163,7 @@ def test_foot_gated_loopless_leaves_are_the_labeled_interval_orders():
     # interval orders (OEIS A079144)
     for n, count in enumerate([1, 3, 19, 207, 3451], start=1):
         filt = EnumerationFilter(n, loopless=True)
-        gate = _ConditionGate(filt, 2, first_empty_foot)
+        gate = _ConditionGate(filt, 2, FOOT)
         assert sum(1 for _ in _digraph_rows(filt, gate=gate)) == count
         assert count + gate.counted == 1 << (n * n - n)
 
@@ -479,6 +480,10 @@ def test_verify_props_small():
 
 
 def test_sweeps_deterministic_across_worker_counts():
+    explored = {
+        (problem, p): explore_open_problem(problem, p, 4)
+        for problem in (1, 2, 3) for p in (2, 3)
+    }
     for workers in (1, 2, 3):
         for p in (2, 3):
             outcome = verify_theorem_loopless(p, 5, workers=workers)
@@ -486,6 +491,9 @@ def test_sweeps_deterministic_across_worker_counts():
             outcome = verify_theorem_acyclic(p, 5, workers=workers)
             assert outcome == SweepOutcome(DAG_COUNTS[5])
         assert verify_theorem_props(4, workers=workers) == SweepOutcome(2**16)
+        for (problem, p), report in explored.items():
+            assert explore_open_problem(problem, p, 4, workers=workers) == report
+            assert report.checked == 2**16
 
 
 # The report must carry the least flagged mask, the first one the scan
