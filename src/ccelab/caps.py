@@ -38,11 +38,22 @@ class ResourceCapError(RuntimeError):
     """An enumeration or search request exceeded the configured hard cap."""
 
 
-def resolved_cap(kind: str) -> int:
+def check_cap(kind: str, size: int) -> None:
+    """Refuse a request whose size (n; |V(G)| + k_max for dk) is above the
+    cap of its kind, or CCELAB_CAP when set."""
+    if size < 0:
+        raise ValueError("vertex count must be non-negative")
     raw = os.environ.get(CAP_ENV_VAR)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
-    return DEFAULT_CAPS[kind]
+    try:
+        limit = DEFAULT_CAPS[kind] if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+    if size > limit:
+        what, search = (
+            (f"|V(G)| + k_max = {size}", "search") if kind == "dk"
+            else (f"n={size}", "enumeration")
+        )
+        raise ResourceCapError(
+            f"{what} exceeds the {kind} {search} cap {limit} "
+            f"(override with {CAP_ENV_VAR})"
+        )

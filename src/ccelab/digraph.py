@@ -20,13 +20,6 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def submasks(mask: int) -> Iterator[int]:
     """Every submask of ``mask`` in ascending order, starting with 0."""
     row = 0
@@ -89,9 +82,6 @@ class Digraph:
         """The set of v with an arc (v, x)."""
         self._check_vertex(x)
         return frozenset(bits_of(self.in_masks[x]))
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
 
     # -- structural predicates ------------------------------------------
 

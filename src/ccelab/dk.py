@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .caps import ResourceCapError, resolved_cap
+from .caps import check_cap
 from .digraph import Digraph, ancestors, bits_of, submasks
 from .graphs import SimpleGraph, cce_adj, isolated_vertices
 
@@ -48,17 +48,11 @@ class DkResult:
     witness: Digraph
 
 
-def double_competition_number(
-    g: SimpleGraph, k_max: int, cap: Optional[int] = None
-) -> Optional[DkResult]:
+def double_competition_number(g: SimpleGraph, k_max: int) -> Optional[DkResult]:
     """Least k <= k_max with an acyclic witness, or None if none exists."""
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
-    limit = cap if cap is not None else resolved_cap("dk")
-    if g.n + k_max > limit:
-        raise ResourceCapError(
-            f"|V(G)| + k_max = {g.n + k_max} exceeds the dk search cap {limit}"
-        )
+    check_cap("dk", g.n + k_max)
     for k in range(k_max + 1):
         witness = search_realization(g, k)
         if witness is not None:
@@ -66,11 +60,9 @@ def double_competition_number(
     return None
 
 
-def is_cce_of_acyclic(
-    g: SimpleGraph, cap: Optional[int] = None
-) -> Optional[Digraph]:
+def is_cce_of_acyclic(g: SimpleGraph) -> Optional[Digraph]:
     """An acyclic digraph whose CCE graph is exactly g, if dk(g) = 0."""
-    result = double_competition_number(g, 0, cap=cap)
+    result = double_competition_number(g, 0)
     return result.witness if result is not None else None
 
 

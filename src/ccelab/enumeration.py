@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .caps import CAP_ENV_VAR, ResourceCapError, resolved_cap
+from .caps import check_cap
 from .conditions import ConditionKind, first_empty_foot, first_empty_head
 from .digraph import Digraph, ancestors, submasks
 from .graphs import (
@@ -48,18 +48,6 @@ from .orders import (
     interval_feasible_masks,
     semiorder_feasible_masks,
 )
-
-
-def _check_cap(n: int, kind: str, cap: Optional[int]) -> None:
-    """Refuse n above the cap of the given kind (see caps.resolved_cap)."""
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    limit = cap if cap is not None else resolved_cap(kind)
-    if n > limit:
-        raise ResourceCapError(
-            f"n={n} exceeds the {kind} enumeration cap {limit} "
-            f"(override with {CAP_ENV_VAR} or an explicit cap)"
-        )
 
 
 @dataclass(frozen=True)
@@ -129,16 +117,14 @@ def loopless_mask_at(n: int, counter: int) -> int:
     return lo[counter & ((1 << lo_bits) - 1)] | hi[counter >> lo_bits]
 
 
-def enumerate_digraphs(
-    filt: EnumerationFilter, cap: Optional[int] = None
-) -> Iterator[Digraph]:
+def enumerate_digraphs(filt: EnumerationFilter) -> Iterator[Digraph]:
     """Every labeled digraph matching the filter, arc-bitmask ascending.
 
     The cap is checked eagerly, before the returned iterator is consumed;
     the digraphs are generated as they are consumed.
     """
     n = filt.n
-    _check_cap(n, "acyclic" if filt.acyclic else "general", cap)
+    check_cap("acyclic" if filt.acyclic else "general", n)
     return (Digraph.from_arc_mask(n, mask) for mask, _, _ in _digraph_rows(filt))
 
 
@@ -276,9 +262,9 @@ def _dag_count(n: int) -> int:
     )
 
 
-def dag_masks(n: int, cap: Optional[int] = None) -> Tuple[int, ...]:
+def dag_masks(n: int) -> Tuple[int, ...]:
     """Arc masks of all labeled DAGs on n vertices, ascending."""
-    _check_cap(n, "acyclic", cap)
+    check_cap("acyclic", n)
     filt = EnumerationFilter(n, acyclic=True)
     return tuple(mask for mask, _, _ in _digraph_rows(filt))
 
@@ -415,7 +401,6 @@ def verify_theorem_loopless(
     p: int,
     n: int,
     workers: int = 1,
-    cap: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> SweepOutcome:
     """Both directions of the loopless characterization at one size.
@@ -427,7 +412,7 @@ def verify_theorem_loopless(
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
-    _check_cap(n, "loopless", cap)
+    check_cap("loopless", n)
     filt = EnumerationFilter(n, loopless=True)
     checked, found = _run_scan("core_shape", filt, (p,), _FOOT, workers, progress)
     return SweepOutcome(checked, _first_violation(n, found) or _verify_witnesses(p, n))
@@ -453,7 +438,6 @@ def verify_theorem_acyclic(
     p: int,
     n: int,
     workers: int = 1,
-    cap: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> SweepOutcome:
     """Shape classification of CCE graphs over all labeled DAGs at one size.
@@ -467,7 +451,7 @@ def verify_theorem_acyclic(
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
-    _check_cap(n, "acyclic", cap)
+    check_cap("acyclic", n)
     filt = EnumerationFilter(n, acyclic=True)
     _, found = _run_scan("core_shape", filt, (p,), _FOOT, workers, progress)
     return SweepOutcome(_dag_count(n), _first_violation(n, found))
@@ -541,16 +525,16 @@ def _kr_iq_shapes(n: int, q_min: int) -> Dict[int, Tuple[int, int]]:
     return shapes
 
 
-def verify_theorem_main0(n: int, cap: Optional[int] = None) -> SweepOutcome:
+def verify_theorem_main0(n: int) -> SweepOutcome:
     """CCE images of semiorders = CCE images of interval orders
     = {K_r u I_q : r >= 2 implies q >= 2}, as isomorphism classes at size n."""
-    _check_cap(n, "order", cap)
+    check_cap("order", n)
     return _family_sweep(n, True, _kr_iq_shapes(n, 2))
 
 
-def verify_theorem_kr(n: int, cap: Optional[int] = None) -> SweepOutcome:
+def verify_theorem_kr(n: int) -> SweepOutcome:
     """Competition-graph analog: shapes K_r u I_q with r >= 2 implies q >= 1."""
-    _check_cap(n, "order", cap)
+    check_cap("order", n)
     return _family_sweep(n, False, _kr_iq_shapes(n, 1))
 
 
@@ -592,7 +576,6 @@ def _row_lemma_failure(n: int, rows: Sequence[int], subsets: dict) -> Optional[s
 def verify_theorem_props(
     n: int,
     workers: int = 1,
-    cap: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> SweepOutcome:
     """Proposition bundle over all 2^(n^2) digraphs at one size.
@@ -607,7 +590,7 @@ def verify_theorem_props(
     The clique proposition holds vacuously off C(p) and C'(p), so it is
     scanned on the foot-gated space at p = 2, then p = 3; checked is 2^(n^2).
     """
-    _check_cap(n, "props", cap)
+    check_cap("props", n)
     ce = None
     subsets = {q: tuple(itertools.combinations(range(n), q)) for q in range(n + 1)}
     for mask, rows in _preorder_rows(n):
@@ -657,7 +640,6 @@ def explore_open_problem(
     p: int,
     n: int,
     workers: int = 1,
-    cap: Optional[int] = None,
 ) -> ExploreReport:
     """Search tooling for the three concluding open problems.
 
@@ -671,7 +653,7 @@ def explore_open_problem(
         raise ValueError(f"problem must be 1, 2 or 3, got {problem}")
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
-    _check_cap(n, "explore", cap)
+    check_cap("explore", n)
     _canon.cache_clear()
     sections = {}
     for section, (kinds, sweep) in _EXPLORE[problem].items():

@@ -80,30 +80,71 @@ def format_value(v) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-# -- digraphs -----------------------------------------------------------------
-
-
-def parse_digraph(text: str) -> Digraph:
-    lines = _content_lines(text)
-    n, extra, lineno, hline = _parse_header(lines, "digraph")
+def _parse_plain_header(lines, keyword: str) -> int:
+    """The vertex count of a header that carries nothing after it."""
+    n, extra, lineno, hline = _parse_header(lines, keyword)
     if extra:
         raise ParseError(
             lineno, _column_of(hline, extra[0]), "unexpected tokens after header"
         )
-    arcs = []
-    pat = re.compile(r"^\s*(\d+)\s*->\s*(\d+)\s*$")
+    return n
+
+
+def _parse_pairs(text: str, keyword: str, sep: str) -> Tuple[int, List[Tuple[int, int]]]:
+    """n and the (u, v) of each `u <sep> v` line; graphs (sep '--') refuse
+    loops."""
+    lines = _content_lines(text)
+    n = _parse_plain_header(lines, keyword)
+    pairs = []
+    pat = re.compile(rf"^\s*(\d+)\s*{sep}\s*(\d+)\s*$")
     for lineno, line in lines[1:]:
         m = pat.match(line)
         if not m:
-            raise ParseError(lineno, 1, f"expected 'u -> v', got {line!r}")
+            raise ParseError(lineno, 1, f"expected 'u {sep} v', got {line!r}")
         u, v = int(m.group(1)), int(m.group(2))
         if u >= n or v >= n:
             raise ParseError(
                 lineno, _column_of(line, m.group(1 if u >= n else 2)),
                 f"vertex out of range for n={n}",
             )
-        arcs.append((u, v))
-    return Digraph(n, arcs)
+        if u == v and sep == "--":
+            raise ParseError(lineno, 1, f"loop edge {u} -- {v} not allowed")
+        pairs.append((u, v))
+    return n, pairs
+
+
+def _parse_vertex_values(
+    lines, n: int, body: str, expected: str, noun: str, nouns: str
+) -> List[Tuple[Fraction, ...]]:
+    """The values of each vertex from the `v: <body>` lines after the header,
+    one per group of the body pattern; noun and nouns name them in errors."""
+    values: Dict[int, Tuple[Fraction, ...]] = {}
+    pat = re.compile(rf"^\s*(\d+)\s*:\s*{body}\s*$")
+    for lineno, line in lines[1:]:
+        m = pat.match(line)
+        if not m:
+            raise ParseError(lineno, 1, f"expected 'v: {expected}', got {line!r}")
+        v = int(m.group(1))
+        if v >= n:
+            raise ParseError(
+                lineno, _column_of(line, m.group(1)), f"vertex out of range for n={n}"
+            )
+        if v in values:
+            raise ParseError(
+                lineno, _column_of(line, m.group(1)), f"duplicate {noun} for vertex {v}"
+            )
+        values[v] = tuple(_parse_value(t, lineno, line) for t in m.groups()[1:])
+    missing = [v for v in range(n) if v not in values]
+    if missing:
+        raise ParseError(lines[-1][0], 1, f"missing {nouns} for vertices {missing}")
+    return [values[v] for v in range(n)]
+
+
+# -- digraphs -----------------------------------------------------------------
+
+
+def parse_digraph(text: str) -> Digraph:
+    return Digraph(*_parse_pairs(text, "digraph", "->"))
 
 
 def serialize_digraph(d: Digraph) -> str:
@@ -116,28 +157,7 @@ def serialize_digraph(d: Digraph) -> str:
 
 
 def parse_graph(text: str) -> SimpleGraph:
-    lines = _content_lines(text)
-    n, extra, lineno, hline = _parse_header(lines, "graph")
-    if extra:
-        raise ParseError(
-            lineno, _column_of(hline, extra[0]), "unexpected tokens after header"
-        )
-    edges = []
-    pat = re.compile(r"^\s*(\d+)\s*--\s*(\d+)\s*$")
-    for lineno, line in lines[1:]:
-        m = pat.match(line)
-        if not m:
-            raise ParseError(lineno, 1, f"expected 'u -- v', got {line!r}")
-        u, v = int(m.group(1)), int(m.group(2))
-        if u >= n or v >= n:
-            raise ParseError(
-                lineno, _column_of(line, m.group(1 if u >= n else 2)),
-                f"vertex out of range for n={n}",
-            )
-        if u == v:
-            raise ParseError(lineno, 1, f"loop edge {u} -- {v} not allowed")
-        edges.append((u, v))
-    return SimpleGraph(n, edges)
+    return SimpleGraph(*_parse_pairs(text, "graph", "--"))
 
 
 def serialize_graph(g: SimpleGraph) -> str:
@@ -158,29 +178,10 @@ def parse_semiorder(text: str) -> SemiorderRep:
             "expected delta=<value> after the vertex count",
         )
     delta = _parse_value(extra[0][len("delta="):], lineno, hline)
-    values: Dict[int, Fraction] = {}
-    pat = re.compile(r"^\s*(\d+)\s*:\s*f\s*=\s*(\S+)\s*$")
-    for lineno, line in lines[1:]:
-        m = pat.match(line)
-        if not m:
-            raise ParseError(lineno, 1, f"expected 'v: f=<value>', got {line!r}")
-        v = int(m.group(1))
-        if v >= n:
-            raise ParseError(
-                lineno, _column_of(line, m.group(1)), f"vertex out of range for n={n}"
-            )
-        if v in values:
-            raise ParseError(
-                lineno, _column_of(line, m.group(1)), f"duplicate value for vertex {v}"
-            )
-        values[v] = _parse_value(m.group(2), lineno, line)
-    missing = [v for v in range(n) if v not in values]
-    if missing:
-        raise ParseError(
-            lines[-1][0] if len(lines) > 1 else lineno, 1,
-            f"missing f values for vertices {missing}",
-        )
-    return SemiorderRep(tuple(values[v] for v in range(n)), delta)
+    values = _parse_vertex_values(
+        lines, n, r"f\s*=\s*(\S+)", "f=<value>", "value", "f values"
+    )
+    return SemiorderRep(tuple(f for (f,) in values), delta)
 
 
 def serialize_semiorder(rep: SemiorderRep) -> str:
@@ -191,37 +192,12 @@ def serialize_semiorder(rep: SemiorderRep) -> str:
 
 def parse_intervals(text: str) -> IntervalRep:
     lines = _content_lines(text)
-    n, extra, lineno, hline = _parse_header(lines, "intervals")
-    if extra:
-        raise ParseError(
-            lineno, _column_of(hline, extra[0]), "unexpected tokens after header"
-        )
-    spans: Dict[int, Tuple[Fraction, Fraction]] = {}
-    pat = re.compile(r"^\s*(\d+)\s*:\s*\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*$")
-    for lineno, line in lines[1:]:
-        m = pat.match(line)
-        if not m:
-            raise ParseError(lineno, 1, f"expected 'v: [lo,hi]', got {line!r}")
-        v = int(m.group(1))
-        if v >= n:
-            raise ParseError(
-                lineno, _column_of(line, m.group(1)), f"vertex out of range for n={n}"
-            )
-        if v in spans:
-            raise ParseError(
-                lineno, _column_of(line, m.group(1)),
-                f"duplicate interval for vertex {v}",
-            )
-        lo = _parse_value(m.group(2), lineno, line)
-        hi = _parse_value(m.group(3), lineno, line)
-        spans[v] = (lo, hi)
-    missing = [v for v in range(n) if v not in spans]
-    if missing:
-        raise ParseError(
-            lines[-1][0] if len(lines) > 1 else lineno, 1,
-            f"missing intervals for vertices {missing}",
-        )
-    return IntervalRep(tuple(spans[v] for v in range(n)))
+    n = _parse_plain_header(lines, "intervals")
+    spans = _parse_vertex_values(
+        lines, n, r"\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]", "[lo,hi]",
+        "interval", "intervals",
+    )
+    return IntervalRep(tuple(spans))
 
 
 def serialize_intervals(rep: IntervalRep) -> str:

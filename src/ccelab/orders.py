@@ -51,18 +51,15 @@ class IntervalRep:
 # -- construction -------------------------------------------------------------
 
 
-def semiorder_from(rep: SemiorderRep, n: Optional[int] = None) -> Digraph:
+def semiorder_from(rep: SemiorderRep) -> Digraph:
     """Digraph with arcs (x, y) exactly where f(x) > f(y) + delta.
 
     Always loopless and acyclic: f strictly decreases along arcs.
     """
     if rep.delta <= 0:
         raise ValueError(f"threshold must be positive, got {rep.delta}")
-    if n is None:
-        n = len(rep.f)
-    if len(rep.f) != n:
-        raise ValueError(f"valuation covers {len(rep.f)} vertices, expected {n}")
     f, delta = rep.f, rep.delta
+    n = len(f)
     arcs = [
         (x, y)
         for x in range(n)
@@ -72,18 +69,13 @@ def semiorder_from(rep: SemiorderRep, n: Optional[int] = None) -> Digraph:
     return Digraph(n, arcs)
 
 
-def interval_order_from(rep: IntervalRep, n: Optional[int] = None) -> Digraph:
+def interval_order_from(rep: IntervalRep) -> Digraph:
     """Digraph with arcs (x, y) exactly where min J(x) > max J(y)."""
-    if n is None:
-        n = len(rep.intervals)
-    if len(rep.intervals) != n:
-        raise ValueError(
-            f"representation covers {len(rep.intervals)} vertices, expected {n}"
-        )
-    for v, (lo, hi) in enumerate(rep.intervals):
+    iv = rep.intervals
+    for v, (lo, hi) in enumerate(iv):
         if lo > hi:
             raise ValueError(f"malformed interval [{lo}, {hi}] at vertex {v}")
-    iv = rep.intervals
+    n = len(iv)
     arcs = [
         (x, y)
         for x in range(n)

@@ -11,16 +11,18 @@ from ccelab import (
     SimpleGraph,
     SweepOutcome,
     dag_masks,
+    double_competition_number,
     enumerate_digraphs,
     explore_open_problem,
+    is_cce_of_acyclic,
     verify_theorem_acyclic,
     verify_theorem_kr,
     verify_theorem_loopless,
     verify_theorem_main0,
     verify_theorem_props,
 )
-from ccelab import enumeration
-from ccelab.caps import CAP_ENV_VAR
+from ccelab import dk, enumeration
+from ccelab.caps import CAP_ENV_VAR, check_cap
 from ccelab.conditions import ConditionKind, first_empty_foot, first_empty_head
 from ccelab.enumeration import (
     _CHECKERS,
@@ -216,11 +218,10 @@ def test_props_has_its_own_cap(monkeypatch):
     monkeypatch.setattr(enumeration, "_digraph_rows", no_sweep)
     with pytest.raises(ResourceCapError, match="props enumeration cap 5"):
         verify_theorem_props(6)
-    enumeration._check_cap(5, "props", None)
-    enumeration._check_cap(6, "general", None)
-    enumeration._check_cap(6, "props", 6)               # an explicit cap
+    check_cap("props", 5)
+    check_cap("general", 6)
     monkeypatch.setenv(CAP_ENV_VAR, "6")
-    enumeration._check_cap(6, "props", None)
+    check_cap("props", 6)
 
 
 def test_cap_refusal_and_env_override(monkeypatch):
@@ -235,6 +236,42 @@ def test_cap_refusal_and_env_override(monkeypatch):
     monkeypatch.setenv(CAP_ENV_VAR, "not-a-number")
     with pytest.raises(ValueError):
         enumerate_digraphs(EnumerationFilter(2))
+
+
+class Reached(Exception):
+    """A stubbed generator or search ran: the cap check let the call through."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+# entry point -> (cap kind, the call at size n: n, or |V(G)| + k_max for dk)
+CAPPED_CALLS = {
+    "enumerate_digraphs": ("general", lambda n: enumerate_digraphs(EnumerationFilter(n))),
+    "dag_masks": ("acyclic", dag_masks),
+    "loopless": ("loopless", lambda n: verify_theorem_loopless(2, n)),
+    "acyclic": ("acyclic", lambda n: verify_theorem_acyclic(2, n)),
+    "main0": ("order", verify_theorem_main0),
+    "kr": ("order", verify_theorem_kr),
+    "props": ("props", verify_theorem_props),
+    "explore": ("explore", lambda n: explore_open_problem(1, 2, n)),
+    "dk": ("dk", lambda n: double_competition_number(SimpleGraph(n), 0)),
+    "is_cce_of_acyclic": ("dk", lambda n: is_cce_of_acyclic(SimpleGraph(n))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_CALLS))
+def test_each_entry_point_checks_its_cap_before_generating(name, monkeypatch):
+    kind, call = CAPPED_CALLS[name]
+    monkeypatch.setenv(CAP_ENV_VAR, "3")
+    monkeypatch.setattr(enumeration, "_digraph_rows", reached)
+    monkeypatch.setattr(dk, "search_realization", reached)
+    search = "search" if kind == "dk" else "enumeration"
+    with pytest.raises(ResourceCapError, match=f"{kind} {search} cap 3"):
+        call(4)
+    with pytest.raises(Reached):
+        call(3)
 
 
 @pytest.mark.parametrize("call", [
