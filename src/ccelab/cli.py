@@ -93,6 +93,18 @@ def _workers(args) -> int:
     return os.cpu_count() or 1
 
 
+def _emit(args, payload: dict, text: str, out: Optional[str] = None) -> None:
+    """Write a command's result: the payload as JSON on stdout under --json,
+    and the text to out when a file flag names one, else to stdout unless
+    --json is set."""
+    if args.json:
+        sys.stdout.write(dumps(payload))
+    if out:
+        _write(out, text)
+    elif not args.json:
+        sys.stdout.write(text)
+
+
 def _shape_label(g: SimpleGraph) -> str:
     shape = decompose_kr_iq(g)
     if shape is not None:
@@ -113,11 +125,9 @@ def _cmd_derive(args) -> int:
     _write(args.out, serialize_graph(g))
     if args.dot:
         _write(args.dot, dot_derived(d, g, args.kind))
-    if args.json:
-        sys.stdout.write(
-            dumps({"kind": args.kind, "digraph": digraph_to_json(d),
-                   "derived": graph_to_json(g)})
-        )
+    payload = {"kind": args.kind, "digraph": digraph_to_json(d),
+               "derived": graph_to_json(g)}
+    _emit(args, payload, "")            # the graph went to --out: no text
     return EXIT_OK
 
 
@@ -125,22 +135,13 @@ def _cmd_check(args) -> int:
     d = parse_digraph(_read(args.infile))
     kind = ConditionKind(args.condition)
     report = satisfies_condition(d, kind, args.p)
-    label = kind.label(args.p)
-    if args.json:
-        sys.stdout.write(
-            dumps({
-                "condition": args.condition,
-                "p": args.p,
-                "satisfied": report.satisfied,
-                "witness": sorted(report.violating_set)
-                if report.violating_set is not None else None,
-            })
-        )
-    elif report.satisfied:
-        print(f"{label}: satisfied")
-    else:
-        witness = "{" + ", ".join(map(str, sorted(report.violating_set))) + "}"
-        print(f"{label}: violated by {witness}")
+    witness = None if report.satisfied else sorted(report.violating_set)
+    verdict = "satisfied" if report.satisfied else (
+        "violated by {" + ", ".join(map(str, witness)) + "}"
+    )
+    payload = {"condition": args.condition, "p": args.p,
+               "satisfied": report.satisfied, "witness": witness}
+    _emit(args, payload, f"{kind.label(args.p)}: {verdict}\n")
     return EXIT_OK if report.satisfied else EXIT_NEGATIVE
 
 
@@ -148,24 +149,16 @@ def _cmd_recognize(args) -> int:
     d = parse_digraph(_read(args.infile))
     if args.model == "semiorder":
         rep = recognize_semiorder(d)
-        text = serialize_semiorder(rep) if rep else None
-        payload = semiorder_to_json(rep) if rep else None
+        to_json, serialize = semiorder_to_json, serialize_semiorder
     else:
         rep = recognize_interval_order(d)
-        text = serialize_intervals(rep) if rep else None
-        payload = intervals_to_json(rep) if rep else None
+        to_json, serialize = intervals_to_json, serialize_intervals
     if rep is None:
-        if args.json:
-            sys.stdout.write(dumps({"model": args.model, "present": False}))
-        else:
-            print(f"no {args.model} representation exists")
+        _emit(args, {"model": args.model, "present": False},
+              f"no {args.model} representation exists\n")
         return EXIT_NEGATIVE
-    if args.json:
-        sys.stdout.write(dumps({"model": args.model, "present": True, **payload}))
-    if args.out:
-        _write(args.out, text)
-    elif not args.json:
-        sys.stdout.write(text)
+    payload = {"model": args.model, "present": True, **to_json(rep)}
+    _emit(args, payload, serialize(rep), args.out)
     return EXIT_OK
 
 
@@ -180,18 +173,11 @@ def _cmd_witness(args) -> int:
     r, q = _parse_shape(args.shape)
     if args.model == "loopless":
         d = _cli.witness_loopless(r, q)
-        text = serialize_digraph(d)
-        payload = {"model": "loopless", "shape": [r, q], **digraph_to_json(d)}
+        text, fields = serialize_digraph(d), digraph_to_json(d)
     else:
         rep = _cli.witness_semiorder(r, q)
-        text = serialize_semiorder(rep)
-        payload = {"model": "semiorder", "shape": [r, q], **semiorder_to_json(rep)}
-    if args.json:
-        sys.stdout.write(dumps(payload))
-    if args.out:
-        _write(args.out, text)
-    elif not args.json:
-        sys.stdout.write(text)
+        text, fields = serialize_semiorder(rep), semiorder_to_json(rep)
+    _emit(args, {"model": args.model, "shape": [r, q], **fields}, text, args.out)
     return EXIT_OK
 
 
@@ -199,116 +185,86 @@ def _cmd_dk(args) -> int:
     g = parse_graph(_read(args.infile))
     result = double_competition_number(g, args.kmax)
     if result is None:
-        if args.json:
-            sys.stdout.write(dumps({"dk": None, "kmax": args.kmax}))
-        else:
-            print(f"dk > {args.kmax} (no realization within the searched strata)")
+        _emit(args, {"dk": None, "kmax": args.kmax},
+              f"dk > {args.kmax} (no realization within the searched strata)\n")
         return EXIT_NEGATIVE
-    if args.json:
-        sys.stdout.write(
-            dumps({"dk": result.k, "witness": digraph_to_json(result.witness)})
-        )
-    else:
+    if not args.json:
         print(f"dk = {result.k}")
-    if args.witness_out:
-        _write(args.witness_out, serialize_digraph(result.witness))
-    elif not args.json:
-        sys.stdout.write(serialize_digraph(result.witness))
+    payload = {"dk": result.k, "witness": digraph_to_json(result.witness)}
+    _emit(args, payload, serialize_digraph(result.witness), args.witness_out)
     return EXIT_OK
 
 
+# the theorems whose sweep takes p, and those whose sweep runs on workers
+_TAKES_P = ("loopless", "acyclic")
+_ON_WORKERS = _TAKES_P + ("props",)
+
+
+def _progress(done: int, total: int) -> None:
+    print(f"progress: {done}/{total} chunks", file=sys.stderr)
+
+
 def _cmd_verify(args) -> int:
-    workers = _workers(args)
-    progress = None
-    if args.progress:
-        def progress(done: int, total: int) -> None:
-            print(f"progress: {done}/{total} chunks", file=sys.stderr)
-
     theorem = args.theorem
-    if theorem == "kr":
-        outcome = _cli.verify_theorem_kr(args.n)
-    elif theorem == "main0":
-        outcome = _cli.verify_theorem_main0(args.n)
-    elif theorem == "loopless":
-        outcome = _cli.verify_theorem_loopless(
-            args.p, args.n, workers=workers, progress=progress
-        )
-    elif theorem == "acyclic":
-        outcome = _cli.verify_theorem_acyclic(
-            args.p, args.n, workers=workers, progress=progress
-        )
-    else:
-        outcome = _cli.verify_theorem_props(args.n, workers=workers, progress=progress)
+    p = args.p if theorem in _TAKES_P else None
+    options = {}
+    if theorem in _ON_WORKERS:
+        options = {"workers": _workers(args),
+                   "progress": _progress if args.progress else None}
+    sweep_args = (args.n,) if p is None else (p, args.n)
+    outcome = getattr(_cli, f"verify_theorem_{theorem}")(*sweep_args, **options)
 
-    payload = {
-        "theorem": theorem,
-        "n": args.n,
-        "p": args.p if theorem in ("loopless", "acyclic") else None,
-        "checked": outcome.checked,
-        "verified": outcome.verified,
-        "counterexample": None,
-    }
+    payload = {"theorem": theorem, "n": args.n, "p": p, "checked": outcome.checked,
+               "verified": outcome.verified, "counterexample": None}
     if outcome.verified:
-        if args.json:
-            sys.stdout.write(dumps(payload))
-        else:
-            print(f"{theorem}: verified ({outcome.checked} digraphs checked)")
-        return EXIT_OK
-    if outcome.missing_shape is not None:
+        text = f"{theorem}: verified ({outcome.checked} digraphs checked)\n"
+    elif outcome.missing_shape is not None:
         # no digraph witnesses a missing shape, so no report file is written
         r, q, family = outcome.missing_shape
         payload["missing_shape"] = {"r": r, "q": q, "family": family}
-        if args.json:
-            sys.stdout.write(dumps(payload))
-        else:
-            print(f"{theorem}: shape K_{r} u I_{q} realized by no {family}")
-        return EXIT_NEGATIVE
-    digraph, tag = outcome.counterexample
-    _write(args.report, serialize_digraph(digraph))
-    payload["counterexample"] = {"tag": tag, "digraph": digraph_to_json(digraph)}
-    if args.json:
-        sys.stdout.write(dumps(payload))
+        text = f"{theorem}: shape K_{r} u I_{q} realized by no {family}\n"
     else:
-        print(f"{theorem}: counterexample found ({tag}); written to {args.report}")
-    return EXIT_NEGATIVE
+        digraph, tag = outcome.counterexample
+        _write(args.report, serialize_digraph(digraph))
+        payload["counterexample"] = {"tag": tag, "digraph": digraph_to_json(digraph)}
+        text = f"{theorem}: counterexample found ({tag}); written to {args.report}\n"
+    _emit(args, payload, text)
+    return EXIT_OK if outcome.verified else EXIT_NEGATIVE
 
 
 def _cmd_explore(args) -> int:
     report = _cli.explore_open_problem(
         args.problem, args.p, args.n, workers=_workers(args)
     )
-    if args.json:
-        sections = {
-            name: [
-                {"graph": graph_to_json(c.graph),
-                 "witness": digraph_to_json(c.witness)}
-                for c in classes
-            ]
-            for name, classes in sorted(report.sections.items())
-        }
-        sys.stdout.write(
-            dumps({
-                "problem": report.problem,
-                "p": report.p,
-                "n": report.n,
-                "checked": report.checked,
-                "sections": sections,
-            })
-        )
-        return EXIT_OK
-    print(
-        f"problem {report.problem} at p={report.p}, n={report.n}: "
-        f"{report.checked} digraphs examined"
-    )
-    for name, classes in sorted(report.sections.items()):
-        print(f"[{name}] {len(classes)} isomorphism classes")
+    sections = sorted(report.sections.items())
+    lines = [f"problem {report.problem} at p={report.p}, n={report.n}: "
+             f"{report.checked} digraphs examined\n"]
+    for name, classes in sections:
+        lines.append(f"[{name}] {len(classes)} isomorphism classes\n")
         for c in classes:
             arcs = " ".join(f"{u}->{v}" for u, v in sorted(c.witness.arcs))
-            print(f"  {_shape_label(c.graph)}   witness: {arcs or '(no arcs)'}")
+            label = _shape_label(c.graph)
+            lines.append(f"  {label}   witness: {arcs or '(no arcs)'}\n")
+    payload = {
+        "problem": report.problem, "p": report.p, "n": report.n,
+        "checked": report.checked,
+        "sections": {
+            name: [{"graph": graph_to_json(c.graph),
+                    "witness": digraph_to_json(c.witness)} for c in classes]
+            for name, classes in sections
+        },
+    }
+    _emit(args, payload, "".join(lines))
     return EXIT_OK
 
 
 # -- parser ------------------------------------------------------------------------
+
+
+def _with_json(p: argparse.ArgumentParser, handler) -> None:
+    """Give a subparser its --json flag, as its last option, and its handler."""
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -328,30 +284,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--dot", metavar="FILE", help="also write a DOT rendering")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_derive)
+    _with_json(p, _cmd_derive)
 
     p = sub.add_parser("check", help="check one condition at one level p")
     p.add_argument("--condition", choices=[k.value for k in ConditionKind],
                    required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
+    _with_json(p, _cmd_check)
 
     p = sub.add_parser("recognize", help="find a semiorder or interval representation")
     p.add_argument("--model", choices=["semiorder", "interval"], required=True)
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_recognize)
+    _with_json(p, _cmd_recognize)
 
     p = sub.add_parser("witness", help="emit a constructive K_r u I_q witness")
     p.add_argument("--shape", required=True, metavar="R,Q")
     p.add_argument("--model", choices=["loopless", "semiorder"], default="loopless")
     p.add_argument("--out", metavar="FILE")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_witness)
+    _with_json(p, _cmd_witness)
 
     p = sub.add_parser("dk", help="double competition number by exact search")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
@@ -359,8 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-out", metavar="FILE")
     p.add_argument("--threads", type=int, default=0,
                    help="ignored: dk runs in one process")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_dk)
+    _with_json(p, _cmd_dk)
 
     p = sub.add_parser("verify", help="run a theorem-verification sweep")
     p.add_argument(
@@ -377,8 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--progress", action="store_true",
                    help="print finished chunks to stderr (loopless, acyclic "
                         "and props only)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
+    _with_json(p, _cmd_verify)
 
     p = sub.add_parser("explore", help="survey an open problem's graph classes")
     p.add_argument("--problem", type=int, choices=[1, 2, 3], required=True)
@@ -386,8 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--threads", type=int, default=0,
                    help="worker processes (0 = one per CPU)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_explore)
+    _with_json(p, _cmd_explore)
 
     return parser
 

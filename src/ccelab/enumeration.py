@@ -148,6 +148,25 @@ def _first_rows(filt: EnumerationFilter) -> Iterator[int]:
 _FOOT = (ConditionKind.C, ConditionKind.C_PRIME)
 
 
+@lru_cache(maxsize=None)
+def _gate_tables(n: int, p: int) -> Tuple[tuple, tuple]:
+    """The p-sets a _ConditionGate tests, which depend on (n, p) alone:
+    (closing[v] on the out-rows, touched[row] on the in-rows)."""
+    subsets = tuple(itertools.combinations(range(n), p))
+    # the p-sets whose out-rows vertex v's row completes: rows are assigned
+    # from the top vertex down, so those whose lowest member is v
+    closing = tuple(tuple(s for s in subsets if s[0] == v) for v in range(n))
+    # Vertex v's row adds v to its members' in-rows only.  A p-set outside
+    # the row keeps its parent's verdict, and one inside it gains v in every
+    # member, which changes no containment; so past a parent that passed,
+    # only the p-sets the row splits need a test.
+    touched = tuple(
+        tuple(s for s in subsets if 0 < sum(row >> x & 1 for x in s) < p)
+        for row in range(1 << n)
+    )
+    return closing, touched
+
+
 class _ConditionGate:
     """Cuts a branch of _digraph_rows once some p-set has an empty foot or
     head set, as the condition kinds ask (at most one kind on the out-rows
@@ -167,7 +186,6 @@ class _ConditionGate:
         self, filt: EnumerationFilter, p: int, kinds: Sequence[ConditionKind]
     ):
         n = filt.n
-        subsets = tuple(itertools.combinations(range(n), p))
         # whether a kind reads the in-rows -> its test; a side without a kind
         # never cuts
         tests = {
@@ -176,17 +194,7 @@ class _ConditionGate:
         }
         never = lambda masks, subsets: None
         self.out_empty, self.in_empty = tests.get(False, never), tests.get(True, never)
-        # the p-sets whose out-rows vertex v's row completes: rows are
-        # assigned from the top vertex down, so those whose lowest member is v
-        self.closing = [tuple(s for s in subsets if s[0] == v) for v in range(n)]
-        # Vertex v's row adds v to its members' in-rows only.  A p-set outside
-        # the row keeps its parent's verdict, and one inside it gains v in
-        # every member, which changes no containment; so past a parent that
-        # passed, only the p-sets the row splits need a test.
-        self.touched = [
-            tuple(s for s in subsets if 0 < sum(row >> x & 1 for x in s) < p)
-            for row in range(1 << n)
-        ]
+        self.closing, self.touched = _gate_tables(n, p)
         row_bits = n - 1 if filt.loopless else n
         self.completions = [0 if filt.acyclic else 1 << row_bits * v for v in range(n)]
         self.counted = 0

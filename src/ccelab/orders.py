@@ -54,19 +54,12 @@ class IntervalRep:
 def semiorder_from(rep: SemiorderRep) -> Digraph:
     """Digraph with arcs (x, y) exactly where f(x) > f(y) + delta.
 
-    Always loopless and acyclic: f strictly decreases along arcs.
+    Always loopless and acyclic: f strictly decreases along arcs.  It is
+    the interval order of the intervals [f, f + delta].
     """
     if rep.delta <= 0:
         raise ValueError(f"threshold must be positive, got {rep.delta}")
-    f, delta = rep.f, rep.delta
-    n = len(f)
-    arcs = [
-        (x, y)
-        for x in range(n)
-        for y in range(n)
-        if x != y and f[x] > f[y] + delta
-    ]
-    return Digraph(n, arcs)
+    return interval_order_from(IntervalRep(tuple((x, x + rep.delta) for x in rep.f)))
 
 
 def interval_order_from(rep: IntervalRep) -> Digraph:
@@ -197,10 +190,14 @@ def _regenerates(f: Sequence[Fraction], n: int, arcs) -> bool:
 
 
 def _out_chain(out: Sequence[int]) -> Optional[List[int]]:
-    """Distinct out-masks sorted descending if they form a containment chain.
+    """Distinct out-masks sorted descending if no vertex has a loop and they
+    form a containment chain; None otherwise.
 
     A proper subset is numerically smaller, so a chain ascends by value, and
     rows whose consecutive values are nested form a chain."""
+    for v, row in enumerate(out):
+        if (row >> v) & 1:
+            return None
     distinct = sorted(set(out))
     for prev, nxt in zip(distinct, distinct[1:]):
         if prev & ~nxt:
@@ -210,21 +207,13 @@ def _out_chain(out: Sequence[int]) -> Optional[List[int]]:
 
 def interval_feasible_masks(n: int, out: Sequence[int]) -> bool:
     """Mask-level interval-order test used by the enumeration sweeps."""
-    for v in range(n):
-        if (out[v] >> v) & 1:
-            return False
     return _out_chain(out) is not None
 
 
 def recognize_interval_order(d: Digraph) -> Optional[IntervalRep]:
     """A representation regenerating d exactly, or None if none exists."""
     n = d.n
-    if n == 0:
-        return IntervalRep(())
     out = d.out_masks
-    for v in range(n):
-        if (out[v] >> v) & 1:
-            return None
     chain = _out_chain(out)
     if chain is None:
         return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from ccelab import Digraph, SimpleGraph
 
@@ -95,6 +95,23 @@ def arc_mask_of(n: int, arcs: Iterable[Arc]) -> int:
     for u, v in arcs:
         m |= 1 << (u * n + v)
     return m
+
+
+def loopless_masks(n: int) -> Iterator[int]:
+    """Every loopless arc mask on n vertices, once each, as the product of
+    the out-rows: row v is any submask of full & ~(1 << v), shifted to bit
+    v*n.  The products of the low rows are listed once and those of the
+    high rows streamed against them."""
+    full = (1 << n) - 1
+    rows = [
+        [row << (v * n) for row in range(full + 1) if not (row >> v) & 1]
+        for v in range(n)
+    ]
+    low = [sum(combo) for combo in itertools.product(*rows[: n // 2])]
+    for high in itertools.product(*rows[n // 2:]):
+        top = sum(high)
+        for mask in low:
+            yield top | mask
 
 
 @lru_cache(maxsize=None)

@@ -147,6 +147,73 @@ def test_dk_golden(workdir):
     assert r.returncode == 4
 
 
+DK_WITNESS = "digraph 4\n0 -> 2\n1 -> 2\n3 -> 0\n3 -> 1\n"
+SHAPE_22 = "digraph 4\n0 -> 3\n1 -> 3\n2 -> 0\n2 -> 1\n2 -> 3\n"
+CHAIN_INTERVALS = "intervals 3\n0: [2,2]\n1: [1,1]\n2: [0,0]\n"
+EXPLORE_3_SECTION = (
+    "  I_3   witness: (no arcs)\n"
+    "  K_2 u I_1   witness: 0->0 0->1\n"
+    "  edges 0-2 1-2   witness: 0->0 0->2 1->0\n"
+    "  K_3   witness: 0->0 0->1 0->2\n"
+)
+
+# name -> (arguments, stdout (parsed when it is JSON), what out.txt holds
+# afterwards or None where the command must not write it)
+OUTPUT_CASES = {
+    "recognize-json-out": (
+        ["recognize", "--model", "interval", "--in", "chain.digraph",
+         "--out", "out.txt", "--json"],
+        {"model": "interval", "present": True,
+         "intervals": [["2", "2"], ["1", "1"], ["0", "0"]]},
+        CHAIN_INTERVALS,
+    ),
+    "witness-json-out": (
+        ["witness", "--shape", "2,2", "--out", "out.txt", "--json"],
+        {"model": "loopless", "shape": [2, 2], "n": 4,
+         "arcs": [[0, 3], [1, 3], [2, 0], [2, 1], [2, 3]]},
+        SHAPE_22,
+    ),
+    "dk-json-witness-out": (
+        ["dk", "--in", "k2.graph", "--kmax", "3", "--witness-out", "out.txt",
+         "--json"],
+        {"dk": 2, "witness": {"n": 4, "arcs": [[0, 2], [1, 2], [3, 0], [3, 1]]}},
+        DK_WITNESS,
+    ),
+    "dk-text-witness-out": (
+        ["dk", "--in", "k2.graph", "--kmax", "3", "--witness-out", "out.txt"],
+        "dk = 2\n",
+        DK_WITNESS,
+    ),
+    "dk-text": (
+        ["dk", "--in", "k2.graph", "--kmax", "3"],
+        "dk = 2\n" + DK_WITNESS,
+        None,
+    ),
+    "explore-text": (
+        ["explore", "--problem", "3", "--p", "2", "--n", "3", "--threads", "1"],
+        "problem 3 at p=2, n=3: 512 digraphs examined\n"
+        + "".join(f"[{name}] 4 isomorphism classes\n" + EXPLORE_3_SECTION
+                  for name in ("C", "Cp", "Cs", "Csp")),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_CASES))
+def test_output_goes_to_stdout_and_to_the_file_flag(
+    name, workdir, monkeypatch, capsys
+):
+    from ccelab import cli
+
+    args, stdout, written = OUTPUT_CASES[name]
+    monkeypatch.chdir(workdir)
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert (json.loads(out) if "--json" in args else out) == stdout
+    out_file = workdir / "out.txt"
+    assert (out_file.read_text() if out_file.exists() else None) == written
+
+
 def test_verify_and_explore(workdir):
     r = run_cli("verify", "--theorem", "main0", "--n", "4")
     assert r.returncode == 0

@@ -94,6 +94,13 @@ def test_generated_dag_rows_match_their_masks():
             assert len(masks) == len(set(masks)) == count(n)
 
 
+def test_loopless_mask_oracle_yields_the_generated_loopless_space():
+    # the acceptance suite streams its loopless digraphs from this oracle
+    for n in range(5):
+        rows = _digraph_rows(EnumerationFilter(n, loopless=True))
+        assert sorted(oracles.loopless_masks(n)) == [mask for mask, _, _ in rows]
+
+
 @functools.lru_cache(maxsize=None)
 def conditions_met(n, mask, p):
     return oracles.conditions_met_oracle(Digraph.from_arc_mask(n, mask), p)
