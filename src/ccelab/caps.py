@@ -13,8 +13,8 @@ import os
 DEFAULT_CAPS = {
     # enumerate_digraphs over all 2^(n^2) or loopless digraphs
     "general": 6,
-    # the main0/kr sweeps over the labeled posets: n = 7 (6,129,859 posets)
-    # takes ~120-130 s on one core, n = 6 ~2.5-3 s
+    # the main0/kr sweeps over the labeled interval orders: n = 7 (2,602,699)
+    # takes ~64-74 s on one core and ~37-41 s on 2 workers; n = 8 has 107 M
     "order": 7,
     # the loopless theorem sweep: n = 7 takes ~99 s (p = 2) and ~142 s
     # (p = 3) on 2 workers

@@ -94,14 +94,15 @@ def _workers(args) -> int:
 
 
 def _emit(args, payload: dict, text: str, out: Optional[str] = None) -> None:
-    """Write a command's result: the payload as JSON on stdout under --json,
-    and the text to out when a file flag names one, else to stdout unless
-    --json is set."""
-    if args.json:
-        sys.stdout.write(dumps(payload))
+    """Write a command's result: the text to out when a file flag names one,
+    then the payload as JSON on stdout under --json, else the text to stdout
+    when no file took it.  An unwritable file thus fails before any
+    stdout."""
     if out:
         _write(out, text)
-    elif not args.json:
+    if args.json:
+        sys.stdout.write(dumps(payload))
+    elif not out:
         sys.stdout.write(text)
 
 
@@ -195,9 +196,8 @@ def _cmd_dk(args) -> int:
     return EXIT_OK
 
 
-# the theorems whose sweep takes p, and those whose sweep runs on workers
+# the theorems whose sweep takes p
 _TAKES_P = ("loopless", "acyclic")
-_ON_WORKERS = _TAKES_P + ("props",)
 
 
 def _progress(done: int, total: int) -> None:
@@ -207,12 +207,11 @@ def _progress(done: int, total: int) -> None:
 def _cmd_verify(args) -> int:
     theorem = args.theorem
     p = args.p if theorem in _TAKES_P else None
-    options = {}
-    if theorem in _ON_WORKERS:
-        options = {"workers": _workers(args),
-                   "progress": _progress if args.progress else None}
     sweep_args = (args.n,) if p is None else (p, args.n)
-    outcome = getattr(_cli, f"verify_theorem_{theorem}")(*sweep_args, **options)
+    outcome = getattr(_cli, f"verify_theorem_{theorem}")(
+        *sweep_args, workers=_workers(args),
+        progress=_progress if args.progress else None,
+    )
 
     payload = {"theorem": theorem, "n": args.n, "p": p, "checked": outcome.checked,
                "verified": outcome.verified, "counterexample": None}
@@ -323,11 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--report", default="counterexample.digraph", metavar="FILE")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker processes for loopless, acyclic and props "
-                        "(0 = one per CPU); main0 and kr run in one process")
+                   help="worker processes (0 = one per CPU)")
     p.add_argument("--progress", action="store_true",
-                   help="print finished chunks to stderr (loopless, acyclic "
-                        "and props only)")
+                   help="print finished chunks to stderr")
     _with_json(p, _cmd_verify)
 
     p = sub.add_parser("explore", help="survey an open problem's graph classes")

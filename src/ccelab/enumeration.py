@@ -5,13 +5,12 @@ Enumeration is labeled (no isomorphism reduction), arc (u, v) <-> bit
 u*n + v.  One generator, _digraph_rows, yields (mask, out-rows, in-rows)
 for each of the three spaces an EnumerationFilter selects (all digraphs,
 loopless, acyclic) by assigning out-rows from the top vertex down, so
-every space comes out in ascending mask order.  The order sweeps (main0,
-kr) run it over the DAGs through a transitivity gate that cuts a branch
-once its rows stop being transitive, so they visit only the labeled
-posets (_poset_rows).  The loopless and acyclic sweeps, the props clique
-scans and the explore surveys run it through a condition gate in one chunk
-per top-vertex row, taken in mask order (_run_scan); the props row lemmas
-run once per labeled preorder (_preorder_rows).  Sweeps never stop early,
+every space comes out in ascending mask order.  The loopless and acyclic
+sweeps, the order sweeps (main0, kr), the props clique scans and the
+explore surveys run it through a condition gate in one chunk per top-vertex
+row, taken in mask order (_run_scan); the order sweeps' gate, C(2) over the
+DAGs, leaves exactly the labeled interval orders.  The props row lemmas run
+once per labeled preorder (_preorder_rows).  Sweeps never stop early,
 and the first hit of a sweep (its first counterexample, each class's first
 witness) is the least-mask one, so the outcome is identical for any worker
 count.
@@ -25,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .caps import check_cap
@@ -43,11 +43,9 @@ from .graphs import (
     graph_of_adj,
     niche_adj,
 )
-from .orders import (
-    cuts_intransitive,
-    interval_feasible_masks,
-    semiorder_feasible_masks,
-)
+# interval_feasible_masks serves no sweep: bench/tracer.py wraps it under this
+# module until ROADMAP item 3's benchmark change drops the hook
+from .orders import cuts_intransitive, interval_feasible_masks, semiorder_feasible_masks
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,8 @@ class SweepOutcome:
     """Result of one verification sweep.
 
     checked counts the digraphs of the swept space, examined one by one or
-    counted in closed form (below a gate cut; all DAGs by _dag_count).
+    counted in closed form (below a gate cut; all DAGs by _dag_count); for
+    the order-family sweeps, that space is the labeled interval orders.
     counterexample carries the least-arc-mask offender, the first the sweep
     meets, and a short explanation tag; missing_shape is (r, q, family) when
     an order-family sweep finds that no order of the family realizes
@@ -279,10 +278,11 @@ def dag_masks(n: int) -> Tuple[int, ...]:
 
 # -- chunked scan ----------------------------------------------------------------
 #
-# Each sweep provides a checker(n, p, mask, out_rows, in_rows) returning
-# None or a key: a violation tag, or a class's canonical form.  A sweep is
-# cut into one chunk per level p and top-vertex row; chunks always scan their
-# whole share of the space, so the outcome is worker-count independent.
+# Each sweep provides a checker(n, p, mask, out_rows, in_rows, found)
+# returning None or a key: a violation tag or a class (the order sweeps alone
+# read found, the chunk's keys so far).  A sweep is cut into one chunk per
+# level p and top-vertex row; chunks always scan their whole share of the
+# space, so the outcome is worker-count independent.
 # Each chunk keeps the first mask per key, and within a level each chunk
 # lies wholly above the one before it, so merging the chunks' keys in chunk
 # order keeps each key's least mask, and the merged first key is the
@@ -300,7 +300,7 @@ def _canon(adj: Tuple[int, ...]) -> int:
     return canonical_form(graph_of_adj(adj))
 
 
-def _checker_core_shape(n, p, mask, out, inc):
+def _checker_core_shape(n, p, mask, out, inc, found):
     """For a digraph meeting both foot conditions at p, as every leaf of a
     foot-gated scan does: a CCE core of at least p vertices must be a clique
     beside at least 2 isolated vertices.  That is the loopless only-if
@@ -316,7 +316,7 @@ def _checker_core_shape(n, p, mask, out, inc):
     return None
 
 
-def _checker_clique(n, p, mask, out, inc):
+def _checker_clique(n, p, mask, out, inc, found):
     """The clique proposition at p, for a digraph meeting both foot
     conditions at p, as every leaf of a foot-gated scan does: a CCE core of
     at least p vertices is a clique."""
@@ -324,31 +324,41 @@ def _checker_clique(n, p, mask, out, inc):
     return f"clique proposition fails at p={p}" if core >= p and not clique else None
 
 
-def _checker_small_core_class(n, p, mask, out, inc):
+def _checker_small_core_class(n, p, mask, out, inc, found):
     """The CCE class of a digraph whose CCE core has fewer than p vertices."""
     adj = cce_adj(out, inc)
     return _canon(tuple(adj)) if sum(1 for row in adj if row) < p else None
+
+
+def _checker_order_class(use_cce, n, p, mask, out, inc, found):
+    """An interval order's key: (the class of its CCE or competition graph,
+    True) if it is the chunk's first semiorder of the class, else (the
+    class, False); tested for a semiorder only while the class has none."""
+    canon = _canon(tuple(cce_adj(out, inc) if use_cce else competition_adj(out)))
+    return canon, (canon, True) not in found and semiorder_feasible_masks(n, out)
 
 
 _CHECKERS: Dict[str, Callable] = {
     "core_shape": _checker_core_shape,
     "clique": _checker_clique,
     "small_core_class": _checker_small_core_class,
-    "cce_class": lambda n, p, mask, out, inc: _canon(tuple(cce_adj(out, inc))),
-    "niche_class": lambda n, p, mask, out, inc: _canon(tuple(niche_adj(out, inc))),
+    "cce_class": lambda n, p, mask, out, inc, _: _canon(tuple(cce_adj(out, inc))),
+    "niche_class": lambda n, p, mask, out, inc, _: _canon(tuple(niche_adj(out, inc))),
+    "cce_order": partial(_checker_order_class, True),
+    "competition_order": partial(_checker_order_class, False),
 }
 
 
 def _scan(
     sweep: str,
     filt: EnumerationFilter,
-    p: int,
     kinds: Sequence[ConditionKind],
-    first_row: int,
+    chunk: Tuple[int, int],
 ) -> Tuple[int, Dict[object, int]]:
-    """Check the digraphs of the space whose top-vertex row is first_row and
-    that meet the condition kinds at p; returns (checked, first mask per
-    key)."""
+    """Check the digraphs of the space that meet the condition kinds at p and
+    whose top-vertex row is first_row, for chunk = (p, first_row); returns
+    (checked, first mask per key)."""
+    p, first_row = chunk
     checker = _CHECKERS[sweep]
     n = filt.n
     gate = _ConditionGate(filt, p, kinds)
@@ -356,7 +366,7 @@ def _scan(
     found: Dict[object, int] = {}
     for mask, out, inc in _digraph_rows(filt, first_row, gate):
         checked += 1
-        key = checker(n, p, mask, out, inc)
+        key = checker(n, p, mask, out, inc, found)
         if key is not None:
             found.setdefault(key, mask)
     return checked + gate.counted, found
@@ -373,28 +383,23 @@ def _run_scan(
     """Sum of checked, and each key's first mask, over one _scan per level p
     and top-vertex row, merged in chunk order (level by level, one pool for
     all)."""
-    chunks = [(sweep, filt, p, kinds, row) for p in levels for row in _first_rows(filt)]
-    results = []
-    if workers <= 1:
-        for i, args in enumerate(chunks):
-            results.append(_scan(*args))
-            if progress:
-                progress(i + 1, len(chunks))
-    else:
-        # imported here, so that commands which start no pool never load it
-        from concurrent.futures import ProcessPoolExecutor
+    chunks = [(p, row) for p in levels for row in _first_rows(filt)]
+    checked, found = 0, {}
+    with ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            # imported here, so that commands which start no pool never load it
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan, *args) for args in chunks]
-            for i, fut in enumerate(futures):
-                results.append(fut.result())
-                if progress:
-                    progress(i + 1, len(chunks))
-    found: Dict[object, int] = {}
-    for _, chunk_found in results:
-        for key, mask in chunk_found.items():
-            found.setdefault(key, mask)
-    return sum(r[0] for r in results), found
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        results = mapper(partial(_scan, sweep, filt, kinds), chunks)
+        for i, (chunk_checked, chunk_found) in enumerate(results, 1):
+            checked += chunk_checked
+            for key, mask in chunk_found.items():
+                found.setdefault(key, mask)
+            if progress:
+                progress(i, len(chunks))
+    return checked, found
 
 
 def _first_violation(n: int, found: Dict[str, int]) -> Optional[Tuple[Digraph, str]]:
@@ -465,43 +470,29 @@ def verify_theorem_acyclic(
     return SweepOutcome(_dag_count(n), _first_violation(n, found))
 
 
-def _poset_rows(n: int) -> Iterator[Tuple[int, List[int], List[int]]]:
-    """Every labeled poset (transitive DAG) on n as (arc mask, out-rows,
-    in-rows): the rows of _digraph_rows over the DAGs, cut by the
-    cuts_intransitive gate, so the masks ascend (OEIS A001035: 1, 1, 3, 19,
-    219, 4231, 130023).
-
-    Any digraph admitting a semiorder or interval representation is one of
-    these (chaining the defining inequalities rules out cycles and
-    transitivity gaps), so the order-family sweeps only need this space.
-    """
-    return _digraph_rows(EnumerationFilter(n, acyclic=True), gate=cuts_intransitive)
-
-
 def _family_sweep(
-    n: int, use_cce: bool, legal_shapes: Dict[int, Tuple[int, int]]
+    n: int,
+    sweep: str,
+    legal_shapes: Dict[int, Tuple[int, int]],
+    workers: int = 1,
+    progress: Optional[Callable[[int, int], None]] = None,
 ) -> SweepOutcome:
     """Compare order-generated derived-graph classes against a shape family.
 
-    legal_shapes maps canonical form -> (r, q).  checked counts the labeled
-    posets swept: every semiorder and interval order on n vertices is one,
-    so they cover both families.  The posets come in ascending mask order,
-    so each class keeps its first order, the least-mask one, as witness,
-    and a poset is tested for a semiorder only while its class has none.
-    """
-    semi_classes: Dict[int, int] = {}
-    interval_classes: Dict[int, int] = {}
+    legal_shapes maps canonical form -> (r, q).  Loopless out-rows that are
+    pairwise nested have no 2-cycle and are transitive, and an order is an
+    interval order iff its down-sets are nested (Fishburn), so C(2) on the
+    out-rows leaves exactly the labeled interval orders, which checked
+    counts; they include the semiorders.  A class's interval-order witness
+    is its least mask over both keys, its semiorder witness that of its
+    semiorder key."""
     _canon.cache_clear()
-    checked = 0
-    for mask, out, inc in _poset_rows(n):
-        checked += 1
-        if not interval_feasible_masks(n, out):
-            # semiorders are interval orders; neither family applies
-            continue
-        canon = _canon(tuple(cce_adj(out, inc) if use_cce else competition_adj(out)))
-        interval_classes.setdefault(canon, mask)
-        if canon not in semi_classes and semiorder_feasible_masks(n, out):
-            semi_classes[canon] = mask
+    filt = EnumerationFilter(n, acyclic=True)
+    checked, found = _run_scan(sweep, filt, (2,), (ConditionKind.C,), workers, progress)
+    semi_classes = {canon: mask for (canon, semi), mask in found.items() if semi}
+    interval_classes: Dict[int, int] = {}
+    for (canon, _), mask in found.items():
+        interval_classes[canon] = min(mask, interval_classes.get(canon, mask))
     for family, classes in (
         ("semiorder", semi_classes),
         ("interval-order", interval_classes),
@@ -533,17 +524,25 @@ def _kr_iq_shapes(n: int, q_min: int) -> Dict[int, Tuple[int, int]]:
     return shapes
 
 
-def verify_theorem_main0(n: int) -> SweepOutcome:
+def verify_theorem_main0(
+    n: int,
+    workers: int = 1,
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> SweepOutcome:
     """CCE images of semiorders = CCE images of interval orders
     = {K_r u I_q : r >= 2 implies q >= 2}, as isomorphism classes at size n."""
     check_cap("order", n)
-    return _family_sweep(n, True, _kr_iq_shapes(n, 2))
+    return _family_sweep(n, "cce_order", _kr_iq_shapes(n, 2), workers, progress)
 
 
-def verify_theorem_kr(n: int) -> SweepOutcome:
+def verify_theorem_kr(
+    n: int,
+    workers: int = 1,
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> SweepOutcome:
     """Competition-graph analog: shapes K_r u I_q with r >= 2 implies q >= 1."""
     check_cap("order", n)
-    return _family_sweep(n, False, _kr_iq_shapes(n, 1))
+    return _family_sweep(n, "competition_order", _kr_iq_shapes(n, 1), workers, progress)
 
 
 def _preorder_rows(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from numbers import Real
 from typing import List, Optional, Sequence, Tuple
 
-from .digraph import Digraph, bits_of
+from .digraph import Digraph
 
 
 @dataclass(frozen=True)
@@ -78,37 +78,25 @@ def interval_order_from(rep: IntervalRep) -> Digraph:
     return Digraph(n, arcs)
 
 
-# -- shared quick rejects ------------------------------------------------------
+# -- transitivity ---------------------------------------------------------------
 #
 # Any representable digraph (either model) is loopless, has no 2-cycles and is
-# transitive; all three follow from chaining the defining inequalities.  The
-# rejects are implied by the full checks; the transitivity test also gates
-# the poset and preorder generators of the enumeration sweeps.
+# transitive; all three follow from chaining the defining inequalities, and
+# the recognizers below reject them through their full checks.
 
 
-def cuts_intransitive(v: int, out: Sequence[int], ins: Sequence[int] = ()) -> bool:
+def cuts_intransitive(v: int, out: Sequence[int], ins: Sequence[int]) -> bool:
     """True iff v's row breaks transitivity against a higher vertex's row,
-    x added to each row[x].  Taking every v tests a whole relation; as a
-    _digraph_rows gate (ins unused) it cuts a branch once the rows assigned
-    so far break it, and they are final, so every leaf left is transitive.
-    The added diagonal changes nothing where there are no 2-cycles."""
+    x added to each row[x].  Its one user is _preorder_rows, where it is the
+    _digraph_rows gate (ins unused): it cuts a branch once the rows assigned
+    so far break transitivity, and they are final, so every leaf left is
+    transitive with the diagonal added."""
     down = out[v] | 1 << v
     for x in range(v + 1, len(out)):
         row = out[x] | 1 << x
         if (down >> x & 1 and row & ~down) or (row >> v & 1 and down & ~row):
             return True
     return False
-
-
-def _obviously_not_order(n: int, out: Sequence[int]) -> bool:
-    for u in range(n):
-        m = out[u]
-        if (m >> u) & 1:
-            return True                      # loop
-        for w in bits_of(m):
-            if (out[w] >> u) & 1:
-                return True                  # 2-cycle
-    return any(cuts_intransitive(v, out) for v in range(n))
 
 
 # -- semiorder recognition -----------------------------------------------------
@@ -123,7 +111,11 @@ def _semiorder_potentials(
     exists.  Values compare lexicographically, standing for a + b*eps with
     eps an arbitrarily small positive real.
     """
-    if _obviously_not_order(n, out):
+    # Every semiorder is an interval order, so rows that are not a chain are
+    # rejected at once.  Bellman-Ford below finds 2-cycles and transitivity
+    # gaps as positive cycles, but it skips w == u, so the chain test's loop
+    # check stays.
+    if _out_chain(out) is None:
         return None
     pot: List[Tuple[int, int]] = [(0, 0)] * n
     for _ in range(n + 1):

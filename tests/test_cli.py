@@ -214,10 +214,37 @@ def test_output_goes_to_stdout_and_to_the_file_flag(
     assert (out_file.read_text() if out_file.exists() else None) == written
 
 
+# a file flag naming a path that cannot be written, for each command that has one
+UNWRITABLE_CASES = {
+    "recognize-json": ["recognize", "--model", "interval", "--in", "chain.digraph",
+                       "--json", "--out"],
+    "witness-json": ["witness", "--shape", "2,2", "--json", "--out"],
+    "dk-json": ["dk", "--in", "k2.graph", "--kmax", "3", "--json", "--witness-out"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE_CASES))
+def test_an_unwritable_output_file_exits_3_with_empty_stdout(
+    name, workdir, monkeypatch, capsys
+):
+    from ccelab import cli
+
+    monkeypatch.chdir(workdir)
+    assert cli.main(UNWRITABLE_CASES[name] + ["no-such-dir/out.txt"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error:")
+
+
 def test_verify_and_explore(workdir):
     r = run_cli("verify", "--theorem", "main0", "--n", "4")
     assert r.returncode == 0
-    assert r.stdout == "main0: verified (219 digraphs checked)\n"
+    assert r.stdout == "main0: verified (207 digraphs checked)\n"
+
+    r = run_cli("verify", "--theorem", "kr", "--n", "4", "--threads", "2",
+                "--progress")
+    assert r.returncode == 0
+    assert "chunks" in r.stderr
 
     r = run_cli("verify", "--theorem", "loopless", "--n", "4", "--p", "2",
                 "--json")
@@ -247,8 +274,8 @@ def test_verify_reports_a_missing_shape_without_a_report_file(
 ):
     from ccelab import SweepOutcome, cli
 
-    outcome = SweepOutcome(219, missing_shape=(4, 0, "interval order"))
-    monkeypatch.setattr(cli, "verify_theorem_main0", lambda n: outcome)
+    outcome = SweepOutcome(207, missing_shape=(4, 0, "interval order"))
+    monkeypatch.setattr(cli, "verify_theorem_main0", lambda n, **options: outcome)
     report = tmp_path / "ce.digraph"
     args = ["verify", "--theorem", "main0", "--n", "4", "--report", str(report)]
 

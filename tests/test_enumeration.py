@@ -32,7 +32,6 @@ from ccelab.enumeration import (
     _family_sweep,
     _first_rows,
     _kr_iq_shapes,
-    _poset_rows,
     _preorder_rows,
 )
 from ccelab.graphs import canonical_form, complete_plus_isolated
@@ -317,43 +316,31 @@ def test_sweep_inline_condition_check_matches_api():
                 )
 
 
-@functools.lru_cache(maxsize=None)
-def brute_force_posets(n):
-    """Masks of the loopless, antisymmetric, transitive digraphs on n."""
-    posets = set()
-    for mask in range(1 << (n * n)):
-        arcs = Digraph.from_arc_mask(n, mask).arcs
-        if any(u == v for u, v in arcs):
-            continue
-        if any((v, u) in arcs for u, v in arcs if u != v):
-            continue
-        if any(
-            (u, w) not in arcs
-            for u, v in arcs
-            for v2, w in arcs
-            if v2 == v and w != u
-        ):
-            continue
-        posets.add(mask)
-    return frozenset(posets)
+INTERVAL_ORDER_COUNTS = [1, 1, 3, 19, 207, 3451, 81663]    # OEIS A079144
 
 
-POSET_COUNTS = [1, 1, 3, 19, 219, 4231, 130023]    # OEIS A001035
+def test_order_sweep_leaves_are_the_labeled_interval_orders(monkeypatch):
+    seen = []
+
+    def record(n, p, mask, out, inc, found):
+        seen.append(mask)
+
+    for verify, sweep in (
+        (verify_theorem_main0, "cce_order"), (verify_theorem_kr, "competition_order")
+    ):
+        monkeypatch.setitem(_CHECKERS, sweep, record)
+        for n, count in enumerate(INTERVAL_ORDER_COUNTS):
+            del seen[:]
+            assert verify(n).checked == count
+            assert len(seen) == count
+            if n <= 4:
+                assert seen == sorted(oracles.interval_mask_set(n))   # ascending
 
 
-def test_poset_masks_cover_exactly_the_transitive_antisymmetric_loopless():
+def test_main0_and_kr_count_the_interval_orders_they_sweep():
     for n in range(5):
-        assert {mask for mask, _, _ in _poset_rows(n)} == brute_force_posets(n)
-    for n, count in enumerate(POSET_COUNTS):
-        masks = [mask for mask, _, _ in _poset_rows(n)]
-        assert len(masks) == count
-        assert masks == sorted(set(masks))              # ascending, unique
-
-
-def test_main0_and_kr_count_the_posets_they_sweep():
-    for n in range(5):
-        assert verify_theorem_main0(n).checked == len(brute_force_posets(n))
-        assert verify_theorem_kr(n).checked == len(brute_force_posets(n))
+        assert verify_theorem_main0(n).checked == len(oracles.interval_mask_set(n))
+        assert verify_theorem_kr(n).checked == len(oracles.interval_mask_set(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -378,13 +365,20 @@ def least_mask_per_class(n, masks, use_cce):
     return least
 
 
+def family_sweep(n, use_cce, shapes, workers=1):
+    sweep = "cce_order" if use_cce else "competition_order"
+    return _family_sweep(n, sweep, shapes, workers)
+
+
 @pytest.mark.parametrize("use_cce", [True, False])
 def test_family_sweep_witnesses_are_least_masks(use_cce, monkeypatch):
-    # each class keeps its first poset, and a poset is tested for a
-    # semiorder only while its class has none
+    # each class keeps its least interval order, and its least semiorder,
+    # whatever the worker count
     def reported(n, shapes):
-        outcome = _family_sweep(n, use_cce, shapes)
-        assert outcome.checked == len(brute_force_posets(n))
+        outcomes = {family_sweep(n, use_cce, shapes, workers) for workers in (1, 2)}
+        assert len(outcomes) == 1
+        outcome = outcomes.pop()
+        assert outcome.checked == len(oracles.interval_mask_set(n))
         return outcome.counterexample
 
     def expect(n, mask, family):
@@ -413,15 +407,33 @@ def test_family_sweep_reports_a_missing_shape_without_a_digraph(monkeypatch):
     for use_cce, q_min in ((True, 2), (False, 1)):
         shapes = _kr_iq_shapes(4, q_min)
         shapes[canonical_form(complete_plus_isolated(4, 0))] = (4, 0)
-        outcome = _family_sweep(4, use_cce, shapes)
-        assert outcome == SweepOutcome(219, missing_shape=(4, 0, "interval order"))
-        assert not outcome.verified
+        for workers in (1, 2):
+            outcome = family_sweep(4, use_cce, shapes, workers)
+            assert outcome == SweepOutcome(207, missing_shape=(4, 0, "interval order"))
+            assert not outcome.verified
 
     # a shape some interval order realizes but no semiorder does
     monkeypatch.setattr(enumeration, "semiorder_feasible_masks", lambda n, out: False)
-    outcome = _family_sweep(4, True, _kr_iq_shapes(4, 2))
-    assert outcome == SweepOutcome(219, missing_shape=(0, 4, "semiorder"))
-    assert not outcome.verified
+    for workers in (1, 2):
+        outcome = family_sweep(4, True, _kr_iq_shapes(4, 2), workers)
+        assert outcome == SweepOutcome(207, missing_shape=(0, 4, "semiorder"))
+        assert not outcome.verified
+
+
+def semiorder_tests_expected(n, use_cce):
+    """Semiorder tests of an order sweep, by the oracles: each chunk (the
+    top vertex's row) tests its interval orders of a class, in mask order,
+    up to and including its first semiorder of that class."""
+    semi = oracles.semiorder_mask_set(n)
+    done, tests = set(), 0
+    for mask in sorted(oracles.interval_mask_set(n)):
+        edges = derived_edges(Digraph.from_arc_mask(n, mask), use_cce)
+        key = (mask >> (n - 1) * n, canonical_form(SimpleGraph(n, edges)))
+        if key not in done:
+            tests += 1
+            if mask in semi:
+                done.add(key)
+    return tests
 
 
 def test_family_sweep_tests_a_class_for_a_semiorder_until_it_has_one(monkeypatch):
@@ -433,10 +445,13 @@ def test_family_sweep_tests_a_class_for_a_semiorder_until_it_has_one(monkeypatch
         return real(n, out)
 
     monkeypatch.setattr(enumeration, "semiorder_feasible_masks", counting)
-    for verify in (verify_theorem_main0, verify_theorem_kr):
+    n = 5
+    for verify, use_cce in ((verify_theorem_main0, True), (verify_theorem_kr, False)):
         del calls[:]
-        assert verify(5) == SweepOutcome(4231)
-        assert len(calls) == 4
+        assert verify(n) == SweepOutcome(INTERVAL_ORDER_COUNTS[n])
+        expected = semiorder_tests_expected(n, use_cce)
+        assert len(calls) == expected
+        assert expected < INTERVAL_ORDER_COUNTS[n] / 10
 
 
 def count_canonical_calls(monkeypatch):
@@ -464,7 +479,7 @@ def test_family_sweep_computes_each_canonical_form_once(monkeypatch):
     calls = count_canonical_calls(monkeypatch)
     for use_cce, (shapes, distinct) in expected.items():
         del calls[:]
-        assert _family_sweep(n, use_cce, shapes) == SweepOutcome(219)
+        assert family_sweep(n, use_cce, shapes) == SweepOutcome(207)
         assert len(calls) == distinct
 
 
@@ -535,6 +550,8 @@ def test_sweeps_deterministic_across_worker_counts():
             outcome = verify_theorem_acyclic(p, 5, workers=workers)
             assert outcome == SweepOutcome(DAG_COUNTS[5])
         assert verify_theorem_props(4, workers=workers) == SweepOutcome(2**16)
+        assert verify_theorem_main0(5, workers=workers) == SweepOutcome(3451)
+        assert verify_theorem_kr(5, workers=workers) == SweepOutcome(3451)
         for (problem, p), report in explored.items():
             assert explore_open_problem(problem, p, 4, workers=workers) == report
             assert report.checked == 2**16
@@ -548,7 +565,7 @@ def flagged(n, p, mask):
     return three_arcs and {"C", "Cp"} <= conditions_met(n, mask, p)
 
 
-def flag_three_arcs(n, p, mask, out, inc):
+def flag_three_arcs(n, p, mask, out, inc, found):
     return "at least 3 arcs, C and C'" if flagged(n, p, mask) else None
 
 
@@ -584,7 +601,7 @@ def test_theorem_checker_sees_exactly_the_digraphs_meeting_c_and_c_prime(monkeyp
     # coincide with them only at p = 2) and visit every digraph meeting both
     seen = []
 
-    def record(n, p, mask, out, inc):
+    def record(n, p, mask, out, inc, found):
         seen.append(mask)
 
     def loopless_masks(n):
@@ -608,8 +625,8 @@ def test_props_counterexample_is_least_mask(monkeypatch):
     # checker flags only digraphs meeting both, at one level: the report is
     # the least flagged mask of that level's scan
     for level, sizes in ((2, (2, 3, 4)), (3, (3, 4))):
-        def flag_at_level(n, p, mask, out, inc):
-            return flag_three_arcs(n, p, mask, out, inc) if p == level else None
+        def flag_at_level(n, p, mask, out, inc, found):
+            return flag_three_arcs(n, p, mask, out, inc, found) if p == level else None
 
         monkeypatch.setitem(_CHECKERS, "clique", flag_at_level)
         for n in sizes:
@@ -625,10 +642,10 @@ def test_clique_checker_flags_a_core_that_is_not_a_clique():
     # CCE edges 0-1, 1-2 and 3-4: a core of 5 vertices, not a clique
     d = Digraph(5, [(0, 3), (1, 3), (1, 4), (2, 4), (3, 0), (3, 1), (4, 1), (4, 2)])
     check = _CHECKERS["clique"]
-    args = (d.arc_mask(), d.out_masks, d.in_masks)
+    args = (d.arc_mask(), d.out_masks, d.in_masks, {})
     assert check(5, 2, *args) == "clique proposition fails at p=2"
     assert check(5, 3, *args) == "clique proposition fails at p=3"
-    assert check(3, 3, 0, (0, 0, 0), (0, 0, 0)) is None
+    assert check(3, 3, 0, (0, 0, 0), (0, 0, 0), {}) is None
 
 
 def test_props_row_lemma_failure_reports_the_least_failing_preorder(monkeypatch):

@@ -123,8 +123,8 @@ def test_semiorder_implies_interval_order_exhaustive_n4():
             assert recognize_interval_order(d) is not None
 
 
-def test_recognizers_against_oracle_exhaustive_n3():
-    for n in range(4):
+def test_recognizers_against_oracle_exhaustive_n4():
+    for n in range(5):
         semi = oracles.semiorder_mask_set(n)
         intv = oracles.interval_mask_set(n)
         for mask in range(1 << (n * n)):
