@@ -189,10 +189,13 @@ def _cmd_dk(args) -> int:
         _emit(args, {"dk": None, "kmax": args.kmax},
               f"dk > {args.kmax} (no realization within the searched strata)\n")
         return EXIT_NEGATIVE
-    if not args.json:
-        print(f"dk = {result.k}")
     payload = {"dk": result.k, "witness": digraph_to_json(result.witness)}
-    _emit(args, payload, serialize_digraph(result.witness), args.witness_out)
+    witness = serialize_digraph(result.witness)
+    if args.witness_out:
+        # written before any stdout, so an unwritable path prints nothing
+        _write(args.witness_out, witness)
+        witness = ""
+    _emit(args, payload, f"dk = {result.k}\n{witness}")
     return EXIT_OK
 
 

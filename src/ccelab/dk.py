@@ -127,18 +127,12 @@ def search_realization(g: SimpleGraph, k: int) -> Optional[Digraph]:
                 continue
             outs[v] = row
             forbidden.extend(new_forbidden)
-            touched = []
-            rr = row
-            while rr:
-                low = rr & -rr
-                w = low.bit_length() - 1
-                if not (ins[w] & self_bit):
-                    ins[w] |= self_bit
-                    touched.append(w)
-                rr ^= low
+            prey = list(bits_of(row))
+            for w in prey:
+                ins[w] |= self_bit
             if place(v + 1):
                 return True
-            for w in touched:
+            for w in prey:
                 ins[w] ^= self_bit
             del forbidden[n_forbidden:]
             outs[v] = 0

@@ -61,9 +61,10 @@ class EnumerationFilter:
 class SweepOutcome:
     """Result of one verification sweep.
 
-    checked counts the digraphs of the swept space, examined one by one or
-    counted in closed form (below a gate cut; all DAGs by _dag_count); for
-    the order-family sweeps, that space is the labeled interval orders.
+    checked is the size of the swept space, in closed form: 2^(n(n-1))
+    loopless digraphs, A003024(n) DAGs (_dag_count), 2^(n^2) digraphs for
+    props and explore; for the order-family sweeps it is the labeled
+    interval orders, the leaves their scan visits.
     counterexample carries the least-arc-mask offender, the first the sweep
     meets, and a short explanation tag; missing_shape is (r, q, family) when
     an order-family sweep finds that no order of the family realizes
@@ -149,7 +150,7 @@ _FOOT = (ConditionKind.C, ConditionKind.C_PRIME)
 
 @lru_cache(maxsize=None)
 def _gate_tables(n: int, p: int) -> Tuple[tuple, tuple]:
-    """The p-sets a _ConditionGate tests, which depend on (n, p) alone:
+    """The p-sets a _condition_gate tests on n vertices at level p:
     (closing[v] on the out-rows, touched[row] on the in-rows)."""
     subsets = tuple(itertools.combinations(range(n), p))
     # the p-sets whose out-rows vertex v's row completes: rows are assigned
@@ -166,13 +167,13 @@ def _gate_tables(n: int, p: int) -> Tuple[tuple, tuple]:
     return closing, touched
 
 
-class _ConditionGate:
-    """Cuts a branch of _digraph_rows once some p-set has an empty foot or
+def _condition_gate(
+    n: int, p: int, kinds: Sequence[ConditionKind]
+) -> Callable[[int, Sequence[int], Sequence[int]], bool]:
+    """The _digraph_rows gate cuts(v, out, ins) of a condition sweep: True
+    iff, on the rows assigned down to v, some p-set has an empty foot or
     head set, as the condition kinds ask (at most one kind on the out-rows
-    and one on the in-rows), on the rows assigned so far, and adds the
-    digraphs below each cut branch to `counted`: 2^((n-1)r) loopless or
-    2^(nr) in all, for r unassigned vertices.  The acyclic space has none,
-    so there it counts nothing.
+    and one on the in-rows).
 
     A cut is final.  The out-rows of a p-set among the assigned vertices are
     final.  On the in-rows, a member x is not a foot (head) of S through an
@@ -180,33 +181,23 @@ class _ConditionGate:
     in S, and later rows leave u in place.  So every digraph below a cut
     fails a condition of the kinds, and every leaf still yielded meets all.
     """
+    # whether a kind reads the in-rows -> its test; a side without a kind
+    # never cuts
+    tests = {
+        k.uses_in_masks: first_empty_head if k.uses_head else first_empty_foot
+        for k in kinds
+    }
+    never = lambda masks, subsets: None
+    out_empty, in_empty = tests.get(False, never), tests.get(True, never)
+    closing, touched = _gate_tables(n, p)
 
-    def __init__(
-        self, filt: EnumerationFilter, p: int, kinds: Sequence[ConditionKind]
-    ):
-        n = filt.n
-        # whether a kind reads the in-rows -> its test; a side without a kind
-        # never cuts
-        tests = {
-            k.uses_in_masks: first_empty_head if k.uses_head else first_empty_foot
-            for k in kinds
-        }
-        never = lambda masks, subsets: None
-        self.out_empty, self.in_empty = tests.get(False, never), tests.get(True, never)
-        self.closing, self.touched = _gate_tables(n, p)
-        row_bits = n - 1 if filt.loopless else n
-        self.completions = [0 if filt.acyclic else 1 << row_bits * v for v in range(n)]
-        self.counted = 0
+    def cuts(v: int, out: Sequence[int], ins: Sequence[int]) -> bool:
+        return (
+            out_empty(out, closing[v]) is not None
+            or in_empty(ins, touched[out[v]]) is not None
+        )
 
-    def __call__(self, v: int, out: Sequence[int], ins: Sequence[int]) -> bool:
-        """True (and the branch counted) when the branch at v's row is cut."""
-        if (
-            self.out_empty(out, self.closing[v]) is None
-            and self.in_empty(ins, self.touched[out[v]]) is None
-        ):
-            return False
-        self.counted += self.completions[v]
-        return True
+    return cuts
 
 
 def _digraph_rows(
@@ -251,7 +242,7 @@ def _digraph_rows(
         out[v] = row
         masks[v] = masks[v + 1] | row << (v * n)
         if gate is not None and gate(v, out, ins):
-            continue                # cut (and counted) by the gate
+            continue                # cut by the gate
         if v == 0:
             yield masks[0], out, ins
         else:
@@ -288,8 +279,7 @@ def dag_masks(n: int) -> Tuple[int, ...]:
 # order keeps each key's least mask, and the merged first key is the
 # least-mask counterexample of the first level that has one.  A checker
 # passes every digraph failing a condition of its sweep's kinds, so the
-# scan's gate cuts those branches instead of visiting them and, outside the
-# DAGs, counts them.
+# scan's gate cuts those branches instead of visiting them.
 
 
 @lru_cache(maxsize=None)
@@ -357,19 +347,18 @@ def _scan(
 ) -> Tuple[int, Dict[object, int]]:
     """Check the digraphs of the space that meet the condition kinds at p and
     whose top-vertex row is first_row, for chunk = (p, first_row); returns
-    (checked, first mask per key)."""
+    (leaves visited, first mask per key)."""
     p, first_row = chunk
     checker = _CHECKERS[sweep]
     n = filt.n
-    gate = _ConditionGate(filt, p, kinds)
-    checked = 0
+    leaves = 0
     found: Dict[object, int] = {}
-    for mask, out, inc in _digraph_rows(filt, first_row, gate):
-        checked += 1
+    for mask, out, inc in _digraph_rows(filt, first_row, _condition_gate(n, p, kinds)):
+        leaves += 1
         key = checker(n, p, mask, out, inc, found)
         if key is not None:
             found.setdefault(key, mask)
-    return checked + gate.counted, found
+    return leaves, found
 
 
 def _run_scan(
@@ -380,11 +369,11 @@ def _run_scan(
     workers: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> Tuple[int, Dict[object, int]]:
-    """Sum of checked, and each key's first mask, over one _scan per level p
+    """Sum of leaves, and each key's first mask, over one _scan per level p
     and top-vertex row, merged in chunk order (level by level, one pool for
     all)."""
     chunks = [(p, row) for p in levels for row in _first_rows(filt)]
-    checked, found = 0, {}
+    leaves, found = 0, {}
     with ExitStack() as stack:
         mapper = map
         if workers > 1:
@@ -393,13 +382,13 @@ def _run_scan(
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         results = mapper(partial(_scan, sweep, filt, kinds), chunks)
-        for i, (chunk_checked, chunk_found) in enumerate(results, 1):
-            checked += chunk_checked
+        for i, (chunk_leaves, chunk_found) in enumerate(results, 1):
+            leaves += chunk_leaves
             for key, mask in chunk_found.items():
                 found.setdefault(key, mask)
             if progress:
                 progress(i, len(chunks))
-    return checked, found
+    return leaves, found
 
 
 def _first_violation(n: int, found: Dict[str, int]) -> Optional[Tuple[Digraph, str]]:
@@ -421,14 +410,17 @@ def verify_theorem_loopless(
     Only-if: every loopless digraph on n vertices satisfying the two foot
     conditions at level p whose CCE graph has at least p non-isolated
     vertices must be K_r u I_q with r >= p and q >= 2.  If: the explicit
-    construction works for every legal (r, q) with r + q = n.
+    construction works for every legal (r, q) with r + q = n.  The foot
+    gate cuts the digraphs that fail a condition; checked is 2^(n(n-1)).
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     check_cap("loopless", n)
     filt = EnumerationFilter(n, loopless=True)
-    checked, found = _run_scan("core_shape", filt, (p,), _FOOT, workers, progress)
-    return SweepOutcome(checked, _first_violation(n, found) or _verify_witnesses(p, n))
+    _, found = _run_scan("core_shape", filt, (p,), _FOOT, workers, progress)
+    return SweepOutcome(
+        1 << n * (n - 1), _first_violation(n, found) or _verify_witnesses(p, n)
+    )
 
 
 def _verify_witnesses(p: int, n: int) -> Optional[Tuple[Digraph, str]]:
@@ -555,21 +547,20 @@ def _preorder_rows(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
         yield mask | diagonal, tuple(row | 1 << x for x, row in enumerate(out))
 
 
-def _row_lemma_failure(n: int, rows: Sequence[int], subsets: dict) -> Optional[str]:
+def _row_lemma_failure(n: int, rows: Sequence[int]) -> Optional[str]:
     """The tag of the first row lemma the rows break, or None: foot-condition
-    monotonicity in p, then the foot-set union lemma over all (T, U) pairs."""
-    prev = False
-    for q in range(2, n + 1):
-        sat = first_empty_foot(rows, subsets[q]) is None
-        if prev and not sat:
-            return f"foot condition held at {q - 1} but not at {q}"
-        prev = sat
+    monotonicity in p, then the foot-set union lemma over all (T, U) pairs.
+    The foot condition fails at q exactly when some q-set has no foot."""
     full = 1 << n
     inter, feet = [-1] * full, [0] * full   # per set: AND of its rows, its feet
     for s in range(1, full):
         low = s & -s
         inter[s] = meet = inter[s ^ low] & rows[low.bit_length() - 1]
         feet[s] = sum(1 << x for x in range(n) if s >> x & 1 and rows[x] == meet)
+    footless = {bin(s).count("1") for s in range(1, full) if not feet[s]}
+    for q in range(3, n + 1):
+        if q in footless and q - 1 not in footless:
+            return f"foot condition held at {q - 1} but not at {q}"
     for t in range(1, full):
         ft = feet[t]
         if not ft:
@@ -599,9 +590,8 @@ def verify_theorem_props(
     """
     check_cap("props", n)
     ce = None
-    subsets = {q: tuple(itertools.combinations(range(n), q)) for q in range(n + 1)}
     for mask, rows in _preorder_rows(n):
-        tag = _row_lemma_failure(n, rows, subsets)
+        tag = _row_lemma_failure(n, rows)
         if tag is not None:
             ce = (Digraph.from_arc_mask(n, mask), tag)
             break
@@ -664,9 +654,9 @@ def explore_open_problem(
     _canon.cache_clear()
     sections = {}
     for section, (kinds, sweep) in _EXPLORE[problem].items():
-        checked, classes = _run_scan(sweep, EnumerationFilter(n), (p,), kinds, workers)
+        _, classes = _run_scan(sweep, EnumerationFilter(n), (p,), kinds, workers)
         sections[section] = tuple(
             ExploreClass(c, graph_from_canonical(n, c), Digraph.from_arc_mask(n, m))
             for c, m in sorted(classes.items())
         )
-    return ExploreReport(problem, p, n, checked, sections)
+    return ExploreReport(problem, p, n, 1 << n * n, sections)

@@ -220,6 +220,7 @@ UNWRITABLE_CASES = {
                        "--json", "--out"],
     "witness-json": ["witness", "--shape", "2,2", "--json", "--out"],
     "dk-json": ["dk", "--in", "k2.graph", "--kmax", "3", "--json", "--witness-out"],
+    "dk-text": ["dk", "--in", "k2.graph", "--kmax", "3", "--witness-out"],
 }
 
 

@@ -26,7 +26,7 @@ from ccelab.caps import CAP_ENV_VAR, check_cap
 from ccelab.conditions import ConditionKind, first_empty_foot, first_empty_head
 from ccelab.enumeration import (
     _CHECKERS,
-    _ConditionGate,
+    _condition_gate,
     _dag_count,
     _digraph_rows,
     _family_sweep,
@@ -112,7 +112,7 @@ def test_every_space_comes_out_ascending_by_mask():
         for n in range(max_n + 1):
             filt = EnumerationFilter(n, *flags)
             gates = [None] + [
-                _ConditionGate(filt, p, kinds) for p in (2, 3) for kinds in GATE_KINDS
+                _condition_gate(n, p, kinds) for p in (2, 3) for kinds in GATE_KINDS
             ]
             for gate in gates:
                 masks = [mask for mask, _, _ in _digraph_rows(filt, gate=gate)]
@@ -136,8 +136,7 @@ def test_acyclic_enumeration_streams():
 
 def test_gated_rows_are_exactly_the_digraphs_meeting_the_condition_pair():
     # a gated generator yields the digraphs meeting every condition of its
-    # kinds, each once and with its own rows, and counts the rest exactly; the
-    # DAGs have no closed-form count, so there it counts nothing
+    # kinds, each once and with its own rows
     spaces = (
         ((True, False), 4, lambda n: 1 << (n * n - n)),
         ((False, False), 4, lambda n: 1 << (n * n)),
@@ -150,7 +149,7 @@ def test_gated_rows_are_exactly_the_digraphs_meeting_the_condition_pair():
             assert len(space) == size(n)
             for p in (2, 3):
                 for kinds in GATE_KINDS:
-                    gate = _ConditionGate(filt, p, kinds)
+                    gate = _condition_gate(n, p, kinds)
                     leaves = []
                     for mask, out, inc in _digraph_rows(filt, gate=gate):
                         d = Digraph.from_arc_mask(n, mask)
@@ -160,20 +159,15 @@ def test_gated_rows_are_exactly_the_digraphs_meeting_the_condition_pair():
                     expected = {m for m in space if met <= conditions_met(n, m, p)}
                     assert len(leaves) == len(set(leaves))
                     assert set(leaves) == expected
-                    if filt.acyclic:
-                        assert gate.counted == 0
-                    else:
-                        assert len(leaves) + gate.counted == size(n)
 
 
 def test_foot_gated_loopless_leaves_are_the_labeled_interval_orders():
     # at p = 2 the loopless digraphs meeting C(2) and C'(2) are the labeled
     # interval orders (OEIS A079144)
     for n, count in enumerate([1, 3, 19, 207, 3451], start=1):
-        filt = EnumerationFilter(n, loopless=True)
-        gate = _ConditionGate(filt, 2, FOOT)
-        assert sum(1 for _ in _digraph_rows(filt, gate=gate)) == count
-        assert count + gate.counted == 1 << (n * n - n)
+        gate = _condition_gate(n, 2, FOOT)
+        rows = _digraph_rows(EnumerationFilter(n, loopless=True), gate=gate)
+        assert sum(1 for _ in rows) == count
 
 
 PREORDER_COUNTS = [1, 1, 4, 29, 355, 6942]            # OEIS A000798
@@ -516,11 +510,11 @@ def test_explore_computes_each_canonical_form_once(monkeypatch):
         assert len(calls) == count
 
 
-@pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 4)])
 def test_verify_loopless_small(p, n):
     outcome = verify_theorem_loopless(p, n)
     assert outcome.verified
-    assert outcome.checked == 1 << (n * n - n)
+    assert outcome.checked == sum(1 for _ in oracles.loopless_masks(n))
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 4)])
@@ -651,7 +645,7 @@ def test_clique_checker_flags_a_core_that_is_not_a_clique():
 def test_props_row_lemma_failure_reports_the_least_failing_preorder(monkeypatch):
     # a row-lemma failure names the digraph whose out-rows are the down-set
     # rows of the least failing preorder, a digraph whose out-rows break it
-    def two_arcs_off_the_diagonal(n, rows, subsets):
+    def two_arcs_off_the_diagonal(n, rows):
         arcs = sum(bin(row).count("1") for row in rows) - n
         return "2 arcs off the diagonal" if arcs >= 2 else None
 
@@ -687,6 +681,13 @@ def test_explore_problem1_example():
     # a nontrivial component on fewer than 3 vertices appears: K_2 u I_2
     assert (2, 2) in shapes
     assert report.checked == 1 << 16
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_explore_checked_is_every_digraph(n):
+    for problem in (1, 2, 3):
+        for p in (2, 3):
+            assert explore_open_problem(problem, p, n).checked == 2 ** (n * n)
 
 
 def test_explore_problem3_example():
