@@ -13,9 +13,10 @@ import os
 DEFAULT_CAPS = {
     # enumerate_digraphs over all 2^(n^2) or loopless digraphs
     "general": 6,
-    # the main0/kr sweeps over the labeled interval orders: n = 7 (2,602,699)
-    # takes ~64-74 s on one core and ~37-41 s on 2 workers; n = 8 has 107 M
-    "order": 7,
+    # the main0/kr class sweeps, one Fishburn matrix per unlabeled interval
+    # order: n = 11 (1,422,074 matrices) takes ~23-33 s on one core, n = 10
+    # ~3-4.7 s; n = 12 has 10.9 M matrices
+    "order": 11,
     # the loopless theorem sweep: n = 7 takes ~99 s (p = 2) and ~142 s
     # (p = 3) on 2 workers
     "loopless": 7,
@@ -25,8 +26,9 @@ DEFAULT_CAPS = {
     # the proposition bundle over all 2^(n^2) digraphs: n = 5 takes ~9 s on
     # 2 workers and ~12-16 s on one
     "props": 5,
-    # explore: at n = 5 problem 3 takes ~18 s (p = 2) and ~31 s (p = 3) on one
-    # core, ~12 s and ~19 s on 2 workers; problems 1 and 2 take ~4-7 s
+    # explore: at n = 5 and p = 3 problem 3 takes ~31 s on one core and ~19 s
+    # on 2 workers; at p = 2 each problem takes under 0.5 s at n = 5, but
+    # problem 2's witness scan ~32 s at n = 6
     "explore": 5,
     # dk search, every stratum within 2 s
     "dk": 7,

@@ -325,7 +325,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--report", default="counterexample.digraph", metavar="FILE")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker processes (0 = one per CPU)")
+                   help="worker processes (0 = one per CPU) for the labeled "
+                        "sweeps loopless, acyclic and props; main0 and kr "
+                        "run in one process")
     p.add_argument("--progress", action="store_true",
                    help="print finished chunks to stderr")
     _with_json(p, _cmd_verify)
@@ -335,7 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--threads", type=int, default=0,
-                   help="worker processes (0 = one per CPU)")
+                   help="worker processes (0 = one per CPU) for the labeled "
+                        "sweeps at p >= 3; p = 2 runs in one process")
     _with_json(p, _cmd_explore)
 
     return parser

@@ -1,19 +1,24 @@
-"""Exhaustive enumeration of labeled digraphs at small n, and the
+"""Exhaustive enumeration of digraphs at small n, and the
 theorem-verification sweeps built on top of it.
 
-Enumeration is labeled (no isomorphism reduction), arc (u, v) <-> bit
-u*n + v.  One generator, _digraph_rows, yields (mask, out-rows, in-rows)
-for each of the three spaces an EnumerationFilter selects (all digraphs,
-loopless, acyclic) by assigning out-rows from the top vertex down, so
-every space comes out in ascending mask order.  The loopless and acyclic
-sweeps, the order sweeps (main0, kr), the props clique scans and the
-explore surveys run it through a condition gate in one chunk per top-vertex
-row, taken in mask order (_run_scan); the order sweeps' gate, C(2) over the
-DAGs, leaves exactly the labeled interval orders.  The props row lemmas run
-once per labeled preorder (_preorder_rows).  Sweeps never stop early,
+Labeled enumeration: arc (u, v) <-> bit u*n + v.  One generator,
+_digraph_rows, yields (mask, out-rows, in-rows) for each of the three spaces
+an EnumerationFilter selects (all digraphs, loopless, acyclic) by assigning
+out-rows from the top vertex down, so every space comes out in ascending
+mask order.  The loopless and acyclic sweeps, the props clique scans and the
+explore surveys at p >= 3 run it through a condition gate in one chunk per
+top-vertex row, taken in mask order (_run_scan).  The props row lemmas run
+once per labeled preorder (_preorder_rows).  These sweeps never stop early,
 and the first hit of a sweep (its first counterexample, each class's first
 witness) is the least-mask one, so the outcome is identical for any worker
 count.
+
+Unlabeled enumeration: at p = 2 each condition says the rows are nested, so
+the class sweeps there (main0 and kr over the interval orders, explore at
+p = 2 over all Ferrers digraphs) take one representative per isomorphism
+class from the level matrices (levels.level_matrices), weighted by its
+number of labelings.  They run in one process; their witnesses are least
+masks too.
 
 The heavy sweeps work on raw masks and neighborhood rows; Digraph objects
 are only materialized for witnesses and reports.  Mask-level logic is
@@ -43,6 +48,7 @@ from .graphs import (
     graph_of_adj,
     niche_adj,
 )
+from .levels import least_relabeled_mask, level_counts, level_matrices
 # interval_feasible_masks serves no sweep: bench/tracer.py wraps it under this
 # module until ROADMAP item 3's benchmark change drops the hook
 from .orders import cuts_intransitive, interval_feasible_masks, semiorder_feasible_masks
@@ -64,9 +70,10 @@ class SweepOutcome:
     checked is the size of the swept space, in closed form: 2^(n(n-1))
     loopless digraphs, A003024(n) DAGs (_dag_count), 2^(n^2) digraphs for
     props and explore; for the order-family sweeps it is the labeled
-    interval orders, the leaves their scan visits.
-    counterexample carries the least-arc-mask offender, the first the sweep
-    meets, and a short explanation tag; missing_shape is (r, q, family) when
+    interval orders (A079144), the summed weights of the Fishburn matrices
+    they sweep.
+    counterexample carries the least-arc-mask offender (the first a labeled
+    sweep meets) and a short explanation tag; missing_shape is (r, q, family) when
     an order-family sweep finds that no order of the family realizes
     K_r u I_q, a failure no single digraph witnesses.  The swept property
     held universally exactly when both are None.
@@ -269,9 +276,8 @@ def dag_masks(n: int) -> Tuple[int, ...]:
 
 # -- chunked scan ----------------------------------------------------------------
 #
-# Each sweep provides a checker(n, p, mask, out_rows, in_rows, found)
-# returning None or a key: a violation tag or a class (the order sweeps alone
-# read found, the chunk's keys so far).  A sweep is cut into one chunk per
+# Each sweep provides a checker(n, p, mask, out_rows, in_rows) returning None
+# or a key: a violation tag or a class.  A sweep is cut into one chunk per
 # level p and top-vertex row; chunks always scan their whole share of the
 # space, so the outcome is worker-count independent.
 # Each chunk keeps the first mask per key, and within a level each chunk
@@ -290,7 +296,7 @@ def _canon(adj: Tuple[int, ...]) -> int:
     return canonical_form(graph_of_adj(adj))
 
 
-def _checker_core_shape(n, p, mask, out, inc, found):
+def _checker_core_shape(n, p, mask, out, inc):
     """For a digraph meeting both foot conditions at p, as every leaf of a
     foot-gated scan does: a CCE core of at least p vertices must be a clique
     beside at least 2 isolated vertices.  That is the loopless only-if
@@ -306,7 +312,7 @@ def _checker_core_shape(n, p, mask, out, inc, found):
     return None
 
 
-def _checker_clique(n, p, mask, out, inc, found):
+def _checker_clique(n, p, mask, out, inc):
     """The clique proposition at p, for a digraph meeting both foot
     conditions at p, as every leaf of a foot-gated scan does: a CCE core of
     at least p vertices is a clique."""
@@ -314,28 +320,18 @@ def _checker_clique(n, p, mask, out, inc, found):
     return f"clique proposition fails at p={p}" if core >= p and not clique else None
 
 
-def _checker_small_core_class(n, p, mask, out, inc, found):
+def _checker_small_core_class(n, p, mask, out, inc):
     """The CCE class of a digraph whose CCE core has fewer than p vertices."""
     adj = cce_adj(out, inc)
     return _canon(tuple(adj)) if sum(1 for row in adj if row) < p else None
-
-
-def _checker_order_class(use_cce, n, p, mask, out, inc, found):
-    """An interval order's key: (the class of its CCE or competition graph,
-    True) if it is the chunk's first semiorder of the class, else (the
-    class, False); tested for a semiorder only while the class has none."""
-    canon = _canon(tuple(cce_adj(out, inc) if use_cce else competition_adj(out)))
-    return canon, (canon, True) not in found and semiorder_feasible_masks(n, out)
 
 
 _CHECKERS: Dict[str, Callable] = {
     "core_shape": _checker_core_shape,
     "clique": _checker_clique,
     "small_core_class": _checker_small_core_class,
-    "cce_class": lambda n, p, mask, out, inc, _: _canon(tuple(cce_adj(out, inc))),
-    "niche_class": lambda n, p, mask, out, inc, _: _canon(tuple(niche_adj(out, inc))),
-    "cce_order": partial(_checker_order_class, True),
-    "competition_order": partial(_checker_order_class, False),
+    "cce_class": lambda n, p, mask, out, inc: _canon(tuple(cce_adj(out, inc))),
+    "niche_class": lambda n, p, mask, out, inc: _canon(tuple(niche_adj(out, inc))),
 }
 
 
@@ -355,7 +351,7 @@ def _scan(
     found: Dict[object, int] = {}
     for mask, out, inc in _digraph_rows(filt, first_row, _condition_gate(n, p, kinds)):
         leaves += 1
-        key = checker(n, p, mask, out, inc, found)
+        key = checker(n, p, mask, out, inc)
         if key is not None:
             found.setdefault(key, mask)
     return leaves, found
@@ -464,36 +460,50 @@ def verify_theorem_acyclic(
 
 def _family_sweep(
     n: int,
-    sweep: str,
+    use_cce: bool,
     legal_shapes: Dict[int, Tuple[int, int]],
-    workers: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> SweepOutcome:
     """Compare order-generated derived-graph classes against a shape family.
 
-    legal_shapes maps canonical form -> (r, q).  Loopless out-rows that are
-    pairwise nested have no 2-cycle and are transitive, and an order is an
-    interval order iff its down-sets are nested (Fishburn), so C(2) on the
-    out-rows leaves exactly the labeled interval orders, which checked
-    counts; they include the semiorders.  A class's interval-order witness
-    is its least mask over both keys, its semiorder witness that of its
-    semiorder key."""
+    legal_shapes maps canonical form -> (r, q).  The classes are those of
+    the CCE (use_cce) or competition graphs of the interval orders, one
+    Fishburn matrix per unlabeled order; checked sums their weights, the
+    labeled interval orders.  A representative is tested for a semiorder
+    only while its class has none.  On failure only, the witness is the
+    least mask over the relabelings of the failing class's matrices within
+    the reported family, the least-mask member of the class.  Progress
+    steps once per level count."""
     _canon.cache_clear()
-    filt = EnumerationFilter(n, acyclic=True)
-    checked, found = _run_scan(sweep, filt, (2,), (ConditionKind.C,), workers, progress)
-    semi_classes = {canon: mask for (canon, semi), mask in found.items() if semi}
-    interval_classes: Dict[int, int] = {}
-    for (canon, _), mask in found.items():
-        interval_classes[canon] = min(mask, interval_classes.get(canon, mask))
+
+    def canon_of(out: Sequence[int], inc: Sequence[int]) -> int:
+        return _canon(tuple(cce_adj(out, inc) if use_cce else competition_adj(out)))
+
+    checked, interval_classes, semi_classes = 0, set(), set()
+    levels = level_counts(n, True)
+    for i, k in enumerate(levels, 1):
+        for weight, out, inc in level_matrices(n, True, (k,)):
+            checked += weight
+            canon = canon_of(out, inc)
+            interval_classes.add(canon)
+            if canon not in semi_classes and semiorder_feasible_masks(n, out):
+                semi_classes.add(canon)
+        if progress:
+            progress(i, len(levels))
     for family, classes in (
         ("semiorder", semi_classes),
         ("interval-order", interval_classes),
     ):
-        for canon, mask in sorted(classes.items()):
-            if canon not in legal_shapes:
-                d = Digraph.from_arc_mask(n, mask)
-                tag = f"{family} derived graph outside the shape family"
-                return SweepOutcome(checked, (d, tag))
+        outside = sorted(classes - legal_shapes.keys())
+        if outside:
+            mask = min(
+                least_relabeled_mask(n, out, inc)
+                for _, out, inc in level_matrices(n, True)
+                if canon_of(out, inc) == outside[0]
+                and (family != "semiorder" or semiorder_feasible_masks(n, out))
+            )
+            tag = f"{family} derived graph outside the shape family"
+            return SweepOutcome(checked, (Digraph.from_arc_mask(n, mask), tag))
     # semiorder classes are interval-order classes, so a shape no interval
     # order realizes is reported for the larger family; past this loop both
     # families equal the shape family
@@ -522,9 +532,11 @@ def verify_theorem_main0(
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> SweepOutcome:
     """CCE images of semiorders = CCE images of interval orders
-    = {K_r u I_q : r >= 2 implies q >= 2}, as isomorphism classes at size n."""
+    = {K_r u I_q : r >= 2 implies q >= 2}, as isomorphism classes at size n.
+    The class sweep runs in this process: workers is taken for the common
+    verify signature and splits nothing."""
     check_cap("order", n)
-    return _family_sweep(n, "cce_order", _kr_iq_shapes(n, 2), workers, progress)
+    return _family_sweep(n, True, _kr_iq_shapes(n, 2), progress)
 
 
 def verify_theorem_kr(
@@ -532,9 +544,10 @@ def verify_theorem_kr(
     workers: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> SweepOutcome:
-    """Competition-graph analog: shapes K_r u I_q with r >= 2 implies q >= 1."""
+    """Competition-graph analog: shapes K_r u I_q with r >= 2 implies q >= 1;
+    workers splits nothing, as for verify_theorem_main0."""
     check_cap("order", n)
-    return _family_sweep(n, "competition_order", _kr_iq_shapes(n, 1), workers, progress)
+    return _family_sweep(n, False, _kr_iq_shapes(n, 1), progress)
 
 
 def _preorder_rows(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
@@ -632,6 +645,29 @@ _EXPLORE = {
 }
 
 
+def _ferrers_classes(sweep: str, n: int) -> Dict[int, int]:
+    """Each class the checker gives at p = 2, with its least mask.
+
+    At p = 2 every section sweeps the Ferrers digraphs, so the classes are
+    the checker's keys over the level matrices.  Their witnesses come from
+    the ascending labeled scan of that space, gated by C(2), which stops at
+    the leaf that gives the last class its witness."""
+    checker = _CHECKERS[sweep]
+    classes = {
+        checker(n, 2, sum(row << v * n for v, row in enumerate(out)), out, inc)
+        for _, out, inc in level_matrices(n, False)
+    } - {None}
+    found: Dict[int, int] = {}
+    gate = _condition_gate(n, 2, (ConditionKind.C,))
+    for mask, out, inc in _digraph_rows(EnumerationFilter(n), gate=gate):
+        if len(found) == len(classes):
+            break
+        key = checker(n, 2, mask, out, inc)
+        if key is not None:
+            found.setdefault(key, mask)
+    return found
+
+
 def explore_open_problem(
     problem: int,
     p: int,
@@ -643,8 +679,10 @@ def explore_open_problem(
     1: CCE classes of digraphs meeting both foot conditions whose CCE core
        is smaller than p.  2: CCE classes under both head conditions.
        3: niche-graph classes under each of the four conditions separately.
-    Each section is one gated sweep over all 2^(n^2) digraphs, the count
-    reported as checked.
+    checked is all 2^(n^2) digraphs.  At p = 2 the four conditions all say
+    the rows are nested, so the sections of one checker share one class set
+    from _ferrers_classes, in this process.  At p >= 3 each section is one
+    gated sweep, split over workers.
     """
     if problem not in _EXPLORE:
         raise ValueError(f"problem must be 1, 2 or 3, got {problem}")
@@ -652,9 +690,14 @@ def explore_open_problem(
         raise ValueError(f"p must be at least 2, got {p}")
     check_cap("explore", n)
     _canon.cache_clear()
-    sections = {}
+    sections, ferrers = {}, {}
     for section, (kinds, sweep) in _EXPLORE[problem].items():
-        _, classes = _run_scan(sweep, EnumerationFilter(n), (p,), kinds, workers)
+        if p == 2:
+            if sweep not in ferrers:
+                ferrers[sweep] = _ferrers_classes(sweep, n)
+            classes = ferrers[sweep]
+        else:
+            _, classes = _run_scan(sweep, EnumerationFilter(n), (p,), kinds, workers)
         sections[section] = tuple(
             ExploreClass(c, graph_from_canonical(n, c), Digraph.from_arc_mask(n, m))
             for c, m in sorted(classes.items())

@@ -207,8 +207,9 @@ def complete_plus_isolated(r: int, q: int) -> SimpleGraph:
 #
 # Labeled enumeration plus post-hoc bucketing: vertices are partitioned by an
 # iterated degree refinement, then the canonical edge mask is the minimum over
-# all permutations that respect the refined classes.  Backtracking over class
-# permutations is adequate at the n <= 7 scale this package works at.
+# all permutations that respect the refined classes, a class of pairwise twins
+# taken in one order.  Backtracking over class permutations is adequate at the
+# n <= 7 scale this package works at.
 
 
 def _refine_colors(g: SimpleGraph) -> List[Tuple]:
@@ -249,8 +250,17 @@ def canonical_form(g: SimpleGraph) -> int:
         else:
             classes.append([v])
 
+    def orders(c: List[int]) -> Iterable[Tuple[int, ...]]:
+        # Pairwise twins (equal open or equal closed neighborhoods) are
+        # permuted by automorphisms, so one order of them gives every mask
+        # their orders give: K_r u I_q takes one labeling, not r!q!.
+        adj = g.adj_masks
+        if len({adj[v] for v in c}) == 1 or len({adj[v] | 1 << v for v in c}) == 1:
+            return (tuple(c),)
+        return itertools.permutations(c)
+
     best = None
-    for perms in itertools.product(*(itertools.permutations(c) for c in classes)):
+    for perms in itertools.product(*map(orders, classes)):
         relabel: Dict[int, int] = {}
         i = 0
         for block in perms:

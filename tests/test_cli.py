@@ -261,7 +261,7 @@ def test_verify_and_explore(workdir):
     assert r.returncode == 0
     assert "chunks" in r.stderr
 
-    r = run_cli("verify", "--theorem", "kr", "--n", "9")
+    r = run_cli("verify", "--theorem", "kr", "--n", "12")
     assert r.returncode == 4
 
     r = run_cli("explore", "--problem", "3", "--p", "2", "--n", "3", "--json")
@@ -309,8 +309,8 @@ def test_props_above_its_cap_exits_4_before_sweeping(monkeypatch, capsys):
 # no command reaches (enumerate_digraphs alone reads it, and
 # test_cap_refusal_and_env_override refuses it); K2 stands for a 2-vertex graph
 CAP_CASES = {
-    "kr": (["verify", "--theorem", "kr", "--n", "8"], "order", 7),
-    "main0": (["verify", "--theorem", "main0", "--n", "8"], "order", 7),
+    "kr": (["verify", "--theorem", "kr", "--n", "12"], "order", 11),
+    "main0": (["verify", "--theorem", "main0", "--n", "12"], "order", 11),
     "loopless": (["verify", "--theorem", "loopless", "--n", "8"], "loopless", 7),
     "acyclic": (["verify", "--theorem", "acyclic", "--n", "8"], "acyclic", 7),
     "props": (["verify", "--theorem", "props", "--n", "6"], "props", 5),
@@ -345,6 +345,7 @@ def test_each_sweep_above_its_cap_exits_4_before_sweeping(
 
     monkeypatch.delenv(CAP_ENV_VAR, raising=False)
     monkeypatch.setattr(enumeration, "_digraph_rows", no_sweep)
+    monkeypatch.setattr(enumeration, "level_matrices", no_sweep)
     monkeypatch.setattr(dk, "search_realization", no_sweep)
     args, kind, cap = CAP_CASES[name]
     args = [str(workdir / "k2.graph") if a == "K2" else a for a in args]

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -34,7 +35,15 @@ from ccelab.enumeration import (
     _kr_iq_shapes,
     _preorder_rows,
 )
-from ccelab.graphs import canonical_form, complete_plus_isolated
+from ccelab.graphs import (
+    canonical_form,
+    cce_adj,
+    competition_adj,
+    complete_plus_isolated,
+    graph_of_adj,
+)
+from ccelab.levels import least_relabeled_mask, level_matrices
+from ccelab.orders import interval_feasible_masks
 
 import oracles
 
@@ -266,6 +275,7 @@ def test_each_entry_point_checks_its_cap_before_generating(name, monkeypatch):
     kind, call = CAPPED_CALLS[name]
     monkeypatch.setenv(CAP_ENV_VAR, "3")
     monkeypatch.setattr(enumeration, "_digraph_rows", reached)
+    monkeypatch.setattr(enumeration, "level_matrices", reached)
     monkeypatch.setattr(dk, "search_realization", reached)
     search = "search" if kind == "dk" else "enumeration"
     with pytest.raises(ResourceCapError, match=f"{kind} {search} cap 3"):
@@ -310,25 +320,113 @@ def test_sweep_inline_condition_check_matches_api():
                 )
 
 
-INTERVAL_ORDER_COUNTS = [1, 1, 3, 19, 207, 3451, 81663]    # OEIS A079144
+INTERVAL_ORDER_COUNTS = [1, 1, 3, 19, 207, 3451, 81663, 2602699, 107477247]   # A079144
+LEVEL_MATRIX_COUNTS = [1, 2, 8, 46, 352, 3394]
+FISHBURN_COUNTS = [1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240]    # OEIS A022493
 
 
-def test_order_sweep_leaves_are_the_labeled_interval_orders(monkeypatch):
-    seen = []
+def rep_mask(n, out):
+    return sum(row << v * n for v, row in enumerate(out))
 
-    def record(n, p, mask, out, inc, found):
-        seen.append(mask)
 
-    for verify, sweep in (
-        (verify_theorem_main0, "cce_order"), (verify_theorem_kr, "competition_order")
+def relabelings(n, mask):
+    """The arc masks of every relabeling of a digraph, by brute force."""
+    arcs = Digraph.from_arc_mask(n, mask).arcs
+    return {
+        oracles.arc_mask_of(n, [(perm[u], perm[v]) for u, v in arcs])
+        for perm in itertools.permutations(range(n))
+    }
+
+
+def test_level_matrix_counts():
+    for n, count in enumerate(LEVEL_MATRIX_COUNTS):
+        assert sum(1 for _ in level_matrices(n, False)) == count
+    for n, count in enumerate(FISHBURN_COUNTS):
+        assert sum(1 for _ in level_matrices(n, True)) == count
+
+
+def chains_times_surjections(n):
+    """Labeled digraphs on n vertices with nested out-rows, counted apart
+    from the generator: the distinct rows are a strict chain of m subsets of
+    [n], and the vertices map onto them, both by inclusion-exclusion."""
+    def chains(m):
+        # each element enters the chain at one of m + 1 steps (the last:
+        # never), and steps 2 .. m each take at least one
+        return sum((-1) ** j * math.comb(m - 1, j) * (m + 1 - j) ** n for j in range(m))
+
+    def surjections(m):
+        return sum((-1) ** j * math.comb(m, j) * (m - j) ** n for j in range(m + 1))
+
+    return sum(chains(m) * surjections(m) for m in range(1, n + 1)) if n else 1
+
+
+def test_level_matrix_weights_count_the_labeled_digraphs_with_nested_rows():
+    # brute force for n <= 3 in the representatives test below
+    assert chains_times_surjections(8) == 276054834902
+    for n in range(7):
+        weights = sum(w for w, _, _ in level_matrices(n, False))
+        assert weights == chains_times_surjections(n)
+    for n, count in enumerate(INTERVAL_ORDER_COUNTS):
+        assert sum(w for w, _, _ in level_matrices(n, True)) == count
+
+
+def test_level_matrix_representatives_stand_for_their_weight_in_labeled_digraphs():
+    # the relabelings of the representatives are every labeled digraph with
+    # nested out-rows (loopless: every labeled interval order) once each, a
+    # matrix's weight of them, and the in-rows are the out-rows' transpose
+    for loopless, space in (
+        (False, lambda n: {m for m in range(1 << n * n) if oracles.condition_oracle(
+            Digraph.from_arc_mask(n, m), "C", 2)}),
+        (True, oracles.interval_mask_set),
     ):
-        monkeypatch.setitem(_CHECKERS, sweep, record)
-        for n, count in enumerate(INTERVAL_ORDER_COUNTS):
-            del seen[:]
-            assert verify(n).checked == count
-            assert len(seen) == count
-            if n <= 4:
-                assert seen == sorted(oracles.interval_mask_set(n))   # ascending
+        for n in range(5 if loopless else 4):
+            seen = set()
+            for weight, out, inc in level_matrices(n, loopless):
+                d = Digraph.from_arc_mask(n, rep_mask(n, out))
+                assert list(inc) == list(d.in_masks)
+                labeled = relabelings(n, d.arc_mask())
+                assert len(labeled) == weight and not labeled & seen
+                seen |= labeled
+            assert seen == set(space(n))
+
+
+def test_every_fishburn_representative_is_an_interval_order():
+    for n in range(8):
+        for _, out, _ in level_matrices(n, True):
+            assert interval_feasible_masks(n, out)
+
+
+def test_least_relabeled_mask_matches_brute_force():
+    rng = random.Random(5)
+    for n in range(6):
+        for _ in range(30 if n > 1 else 3):
+            # few distinct rows, so that twins occur
+            rows = [rng.getrandbits(n) for _ in range(2)]
+            out = [rng.choice(rows) for _ in range(n)]
+            d = Digraph.from_arc_mask(n, rep_mask(n, out))
+            least = min(relabelings(n, d.arc_mask()))
+            assert least_relabeled_mask(n, d.out_masks, d.in_masks) == least
+
+
+def test_order_sweep_leaves_are_the_labeled_interval_orders():
+    # the class sweep's checked is the Fishburn matrices' weight, which the
+    # tests above match to the labeled interval orders; the CCE and
+    # competition classes equal those of the labeled gated scan
+    for n, count in enumerate(INTERVAL_ORDER_COUNTS[:7]):
+        assert verify_theorem_main0(n).checked == count
+        assert verify_theorem_kr(n).checked == count
+    for n in range(7):
+        labeled = {True: set(), False: set()}
+        gate = _condition_gate(n, 2, (ConditionKind.C,))
+        for _, out, inc in _digraph_rows(EnumerationFilter(n, acyclic=True), gate=gate):
+            labeled[True].add(canonical_form(graph_of_adj(cce_adj(out, inc))))
+            labeled[False].add(canonical_form(graph_of_adj(competition_adj(out))))
+        # verified against exactly the labeled classes: no class outside
+        # them, and none of them missing
+        for use_cce, classes in labeled.items():
+            shapes = {canon: (0, n) for canon in classes}
+            outcome = _family_sweep(n, use_cce, shapes)
+            assert outcome == SweepOutcome(INTERVAL_ORDER_COUNTS[n])
 
 
 def test_main0_and_kr_count_the_interval_orders_they_sweep():
@@ -359,9 +457,11 @@ def least_mask_per_class(n, masks, use_cce):
     return least
 
 
-def family_sweep(n, use_cce, shapes, workers=1):
-    sweep = "cce_order" if use_cce else "competition_order"
-    return _family_sweep(n, sweep, shapes, workers)
+def family_sweep(monkeypatch, n, use_cce, shapes, workers=1):
+    """The main0 (use_cce) or kr sweep against the given shape table."""
+    monkeypatch.setattr(enumeration, "_kr_iq_shapes", lambda n, q_min: dict(shapes))
+    verify = verify_theorem_main0 if use_cce else verify_theorem_kr
+    return verify(n, workers=workers)
 
 
 @pytest.mark.parametrize("use_cce", [True, False])
@@ -369,7 +469,9 @@ def test_family_sweep_witnesses_are_least_masks(use_cce, monkeypatch):
     # each class keeps its least interval order, and its least semiorder,
     # whatever the worker count
     def reported(n, shapes):
-        outcomes = {family_sweep(n, use_cce, shapes, workers) for workers in (1, 2)}
+        outcomes = {
+            family_sweep(monkeypatch, n, use_cce, shapes, workers) for workers in (1, 2)
+        }
         assert len(outcomes) == 1
         outcome = outcomes.pop()
         assert outcome.checked == len(oracles.interval_mask_set(n))
@@ -402,31 +504,32 @@ def test_family_sweep_reports_a_missing_shape_without_a_digraph(monkeypatch):
         shapes = _kr_iq_shapes(4, q_min)
         shapes[canonical_form(complete_plus_isolated(4, 0))] = (4, 0)
         for workers in (1, 2):
-            outcome = family_sweep(4, use_cce, shapes, workers)
+            outcome = family_sweep(monkeypatch, 4, use_cce, shapes, workers)
             assert outcome == SweepOutcome(207, missing_shape=(4, 0, "interval order"))
             assert not outcome.verified
 
     # a shape some interval order realizes but no semiorder does
     monkeypatch.setattr(enumeration, "semiorder_feasible_masks", lambda n, out: False)
     for workers in (1, 2):
-        outcome = family_sweep(4, True, _kr_iq_shapes(4, 2), workers)
+        outcome = family_sweep(monkeypatch, 4, True, _kr_iq_shapes(4, 2), workers)
         assert outcome == SweepOutcome(207, missing_shape=(0, 4, "semiorder"))
         assert not outcome.verified
 
 
 def semiorder_tests_expected(n, use_cce):
-    """Semiorder tests of an order sweep, by the oracles: each chunk (the
-    top vertex's row) tests its interval orders of a class, in mask order,
-    up to and including its first semiorder of that class."""
+    """Semiorder tests of an order sweep, by the oracles: the Fishburn
+    matrices' representatives of a class, in generator order, up to and
+    including its first semiorder."""
     semi = oracles.semiorder_mask_set(n)
     done, tests = set(), 0
-    for mask in sorted(oracles.interval_mask_set(n)):
+    for _, out, _ in level_matrices(n, True):
+        mask = rep_mask(n, out)
         edges = derived_edges(Digraph.from_arc_mask(n, mask), use_cce)
-        key = (mask >> (n - 1) * n, canonical_form(SimpleGraph(n, edges)))
-        if key not in done:
+        canon = canonical_form(SimpleGraph(n, edges))
+        if canon not in done:
             tests += 1
             if mask in semi:
-                done.add(key)
+                done.add(canon)
     return tests
 
 
@@ -445,7 +548,7 @@ def test_family_sweep_tests_a_class_for_a_semiorder_until_it_has_one(monkeypatch
         assert verify(n) == SweepOutcome(INTERVAL_ORDER_COUNTS[n])
         expected = semiorder_tests_expected(n, use_cce)
         assert len(calls) == expected
-        assert expected < INTERVAL_ORDER_COUNTS[n] / 10
+        assert expected < FISHBURN_COUNTS[n] / 2
 
 
 def count_canonical_calls(monkeypatch):
@@ -461,53 +564,69 @@ def count_canonical_calls(monkeypatch):
 
 
 def test_family_sweep_computes_each_canonical_form_once(monkeypatch):
-    n = 4
+    # one canonical form per distinct derived graph of the representatives
+    n = 5
     expected = {}
     for use_cce, q_min in ((True, 2), (False, 1)):
         shapes = _kr_iq_shapes(n, q_min)
-        adjacencies = {
-            frozenset(derived_edges(Digraph.from_arc_mask(n, mask), use_cce))
-            for mask in oracles.interval_mask_set(n)
-        }
+        reps = (Digraph.from_arc_mask(n, rep_mask(n, out)) for _, out, _ in
+                level_matrices(n, True))
+        adjacencies = {frozenset(derived_edges(d, use_cce)) for d in reps}
         expected[use_cce] = (shapes, len(adjacencies))
     calls = count_canonical_calls(monkeypatch)
     for use_cce, (shapes, distinct) in expected.items():
         del calls[:]
-        assert family_sweep(n, use_cce, shapes) == SweepOutcome(207)
+        outcome = _family_sweep(n, use_cce, shapes)
+        assert outcome == SweepOutcome(INTERVAL_ORDER_COUNTS[n])
         assert len(calls) == distinct
 
 
+EXPLORE_P2 = {
+    # problem -> (section member test at p = 2, derived edges)
+    1: (lambda d: len({v for e in oracles.derived_edges_oracle(d)[1] for v in e}) < 2,
+        lambda d: oracles.derived_edges_oracle(d)[1]),
+    2: (lambda d: True, lambda d: oracles.derived_edges_oracle(d)[1]),
+    3: (lambda d: True, lambda d: oracles.derived_edges_oracle(d)[2]),
+}
+
+
 def test_explore_computes_each_canonical_form_once(monkeypatch):
-    n, p = 3, 2
-    digraphs = [Digraph.from_arc_mask(n, m) for m in range(1 << (n * n))]
-
-    def distinct(member, derived):
-        return len({frozenset(derived(d)) for d in digraphs if member(d)})
-
-    def cce_edges(d):
-        return oracles.derived_edges_oracle(d)[1]
-
-    def problem1(d):
-        core = {v for edge in cce_edges(d) for v in edge}
-        return {"C", "Cp"} <= oracles.conditions_met_oracle(d, p) and len(core) < p
-
-    expected = {
-        1: distinct(problem1, cce_edges),
-        2: distinct(
-            lambda d: {"Cs", "Csp"} <= oracles.conditions_met_oracle(d, p),
-            cce_edges,
-        ),
-        3: distinct(
-            lambda d: bool(oracles.conditions_met_oracle(d, p)),
-            lambda d: oracles.derived_edges_oracle(d)[2],
-        ),
-    }
-    reports = {problem: explore_open_problem(problem, p, n) for problem in expected}
+    # at p = 2 the sections of a problem share one class set: one canonical
+    # form per distinct derived graph of the section members among the
+    # matrices' representatives and the ascending scan of the digraphs with
+    # nested rows, which stops at the last class's least mask
+    n = 4
+    digraphs = map(functools.partial(Digraph.from_arc_mask, n), range(1 << n * n))
+    nested = [d for d in digraphs if oracles.condition_oracle(d, "C", 2)]
+    reps = [
+        Digraph.from_arc_mask(n, rep_mask(n, out)) for _, out, _ in level_matrices(n, False)
+    ]
+    expected = {}
+    for problem, (member, derived) in EXPLORE_P2.items():
+        least = {}
+        for d in filter(member, nested):
+            least.setdefault(canonical_form(SimpleGraph(n, derived(d))), d.arc_mask())
+        scanned = [d for d in nested if d.arc_mask() <= max(least.values())]
+        expected[problem] = len({frozenset(derived(d)) for d in reps + scanned if member(d)})
+    reports = {problem: explore_open_problem(problem, 2, n) for problem in expected}
     calls = count_canonical_calls(monkeypatch)
     for problem, count in expected.items():
         del calls[:]
-        assert explore_open_problem(problem, p, n) == reports[problem]
+        assert explore_open_problem(problem, 2, n) == reports[problem]
         assert len(calls) == count
+
+
+def test_explore_p2_classes_match_the_labeled_gated_scan():
+    # the matrices' classes and the stopped scan's witnesses equal a full
+    # labeled gated scan of every section
+    for n in range(5):
+        for problem, sections in enumeration._EXPLORE.items():
+            report = explore_open_problem(problem, 2, n)
+            for section, (kinds, sweep) in sections.items():
+                filt = EnumerationFilter(n)
+                _, classes = enumeration._run_scan(sweep, filt, (2,), kinds)
+                witnesses = report.sections[section]
+                assert {c.canonical: c.witness.arc_mask() for c in witnesses} == classes
 
 
 @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 4)])
@@ -559,7 +678,7 @@ def flagged(n, p, mask):
     return three_arcs and {"C", "Cp"} <= conditions_met(n, mask, p)
 
 
-def flag_three_arcs(n, p, mask, out, inc, found):
+def flag_three_arcs(n, p, mask, out, inc):
     return "at least 3 arcs, C and C'" if flagged(n, p, mask) else None
 
 
@@ -595,7 +714,7 @@ def test_theorem_checker_sees_exactly_the_digraphs_meeting_c_and_c_prime(monkeyp
     # coincide with them only at p = 2) and visit every digraph meeting both
     seen = []
 
-    def record(n, p, mask, out, inc, found):
+    def record(n, p, mask, out, inc):
         seen.append(mask)
 
     def loopless_masks(n):
@@ -619,8 +738,8 @@ def test_props_counterexample_is_least_mask(monkeypatch):
     # checker flags only digraphs meeting both, at one level: the report is
     # the least flagged mask of that level's scan
     for level, sizes in ((2, (2, 3, 4)), (3, (3, 4))):
-        def flag_at_level(n, p, mask, out, inc, found):
-            return flag_three_arcs(n, p, mask, out, inc, found) if p == level else None
+        def flag_at_level(n, p, mask, out, inc):
+            return flag_three_arcs(n, p, mask, out, inc) if p == level else None
 
         monkeypatch.setitem(_CHECKERS, "clique", flag_at_level)
         for n in sizes:
@@ -636,10 +755,10 @@ def test_clique_checker_flags_a_core_that_is_not_a_clique():
     # CCE edges 0-1, 1-2 and 3-4: a core of 5 vertices, not a clique
     d = Digraph(5, [(0, 3), (1, 3), (1, 4), (2, 4), (3, 0), (3, 1), (4, 1), (4, 2)])
     check = _CHECKERS["clique"]
-    args = (d.arc_mask(), d.out_masks, d.in_masks, {})
+    args = (d.arc_mask(), d.out_masks, d.in_masks)
     assert check(5, 2, *args) == "clique proposition fails at p=2"
     assert check(5, 3, *args) == "clique proposition fails at p=3"
-    assert check(3, 3, 0, (0, 0, 0), (0, 0, 0), {}) is None
+    assert check(3, 3, 0, (0, 0, 0), (0, 0, 0)) is None
 
 
 def test_props_row_lemma_failure_reports_the_least_failing_preorder(monkeypatch):

@@ -128,6 +128,43 @@ def test_canonical_form_relabeling_invariant():
         assert canonical_form(rebuilt) == canonical_form(g)
 
 
+def full_walk_form(g):
+    """The least edge mask over every order of every refined class, the
+    walk canonical_form makes without its twin rule."""
+    from ccelab.graphs import _edge_bit, _refine_colors
+
+    colors = _refine_colors(g)
+    classes = {}
+    for v in sorted(range(g.n), key=lambda v: (colors[v], v)):
+        classes.setdefault(colors[v], []).append(v)
+    best = 0 if not g.edges else None
+    for perms in itertools.product(*map(itertools.permutations, classes.values())):
+        relabel = {v: i for i, v in enumerate(itertools.chain(*perms))}
+        mask = sum(1 << _edge_bit(relabel[u], relabel[v], g.n) for u, v in g.edges)
+        best = mask if best is None else min(best, mask)
+    return best
+
+
+def test_canonical_form_twin_rule_keeps_every_form():
+    # graphs with many twins: every graph on up to 5 vertices, the graphs of
+    # K_r u I_q, and random graphs whose rows repeat
+    graphs = [g for n in range(6) for g in oracles.all_graphs(n)]
+    graphs += [complete_plus_isolated(r, n - r) for n in range(8) for r in range(n + 1)
+               if r != 1]
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(5, 7)
+        kinds = [rng.randrange(3) for _ in range(n)]
+        # vertices of one kind are twins: adjacent as their kinds say
+        adjacent = {pair: rng.random() < 0.5 for pair in itertools.product(range(3), repeat=2)}
+        graphs.append(SimpleGraph(n, [
+            (u, v) for u, v in itertools.combinations(range(n), 2)
+            if adjacent[min(kinds[u], kinds[v]), max(kinds[u], kinds[v])]
+        ]))
+    for g in graphs:
+        assert canonical_form(g) == full_walk_form(g)
+
+
 def test_canonical_form_separates_nonisomorphic():
     # all 4-vertex graphs bucketed by canonical form: 11 classes
     canons = {canonical_form(g) for g in oracles.all_graphs(4)}
