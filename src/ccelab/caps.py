@@ -17,14 +17,16 @@ DEFAULT_CAPS = {
     # order: n = 11 (1,422,074 matrices) takes ~23-33 s on one core, n = 10
     # ~3-4.7 s; n = 12 has 10.9 M matrices
     "order": 11,
-    # the loopless theorem sweep: n = 7 takes ~99 s (p = 2) and ~142 s
-    # (p = 3) on 2 workers
+    # the loopless theorem sweep: at p = 2 one Fishburn matrix per interval
+    # order, n = 7 in under 0.2 s in one process; at p = 3 the gated labeled
+    # scan, n = 7 in ~142 s on 2 workers
     "loopless": 7,
-    # DAG enumeration and the acyclic theorem sweep (~39 s at n = 7, p = 2,
-    # on 2 workers)
+    # DAG enumeration and the acyclic theorem sweep: at p = 2 as loopless,
+    # n = 7 in under 0.2 s; at p = 3 the gated DAG scan, n = 7 in ~61 s on 2
+    # workers
     "acyclic": 7,
-    # the proposition bundle over all 2^(n^2) digraphs: n = 5 takes ~9 s on
-    # 2 workers and ~12-16 s on one
+    # the proposition bundle over all 2^(n^2) digraphs: n = 5 takes ~5 s on
+    # 2 workers and ~9 s on one
     "props": 5,
     # explore: at n = 5 and p = 3 problem 3 takes ~31 s on one core and ~19 s
     # on 2 workers; at p = 2 each problem takes under 0.5 s at n = 5, but

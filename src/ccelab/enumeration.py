@@ -5,7 +5,7 @@ Labeled enumeration: arc (u, v) <-> bit u*n + v.  One generator,
 _digraph_rows, yields (mask, out-rows, in-rows) for each of the three spaces
 an EnumerationFilter selects (all digraphs, loopless, acyclic) by assigning
 out-rows from the top vertex down, so every space comes out in ascending
-mask order.  The loopless and acyclic sweeps, the props clique scans and the
+mask order.  The loopless and acyclic sweeps, the props clique scan and the
 explore surveys at p >= 3 run it through a condition gate in one chunk per
 top-vertex row, taken in mask order (_run_scan).  The props row lemmas run
 once per labeled preorder (_preorder_rows).  These sweeps never stop early,
@@ -14,11 +14,11 @@ witness) is the least-mask one, so the outcome is identical for any worker
 count.
 
 Unlabeled enumeration: at p = 2 each condition says the rows are nested, so
-the class sweeps there (main0 and kr over the interval orders, explore at
-p = 2 over all Ferrers digraphs) take one representative per isomorphism
-class from the level matrices (levels.level_matrices), weighted by its
-number of labelings.  They run in one process; their witnesses are least
-masks too.
+every p = 2 sweep (loopless, acyclic and main0/kr over the interval orders,
+the props clique scan and explore over all Ferrers digraphs) takes one
+representative per isomorphism class from the level matrices
+(levels.level_matrices), weighted by its number of labelings.  They run in
+one process; their counterexamples and witnesses are least masks too.
 
 The heavy sweeps work on raw masks and neighborhood rows; Digraph objects
 are only materialized for witnesses and reports.  Mask-level logic is
@@ -48,7 +48,7 @@ from .graphs import (
     graph_of_adj,
     niche_adj,
 )
-from .levels import least_relabeled_mask, level_counts, level_matrices
+from .levels import least_tagged_relabeling, level_counts, level_matrices, rows_mask
 # interval_feasible_masks serves no sweep: bench/tracer.py wraps it under this
 # module until ROADMAP item 3's benchmark change drops the hook
 from .orders import cuts_intransitive, interval_feasible_masks, semiorder_feasible_masks
@@ -72,11 +72,12 @@ class SweepOutcome:
     props and explore; for the order-family sweeps it is the labeled
     interval orders (A079144), the summed weights of the Fishburn matrices
     they sweep.
-    counterexample carries the least-arc-mask offender (the first a labeled
-    sweep meets) and a short explanation tag; missing_shape is (r, q, family) when
-    an order-family sweep finds that no order of the family realizes
-    K_r u I_q, a failure no single digraph witnesses.  The swept property
-    held universally exactly when both are None.
+    counterexample carries the least-arc-mask offender, over the labeled
+    digraphs even where a sweep takes one per class, and a short tag;
+    missing_shape is (r, q, family) when an order-family sweep finds that
+    no order of the family realizes K_r u I_q, a failure no single digraph
+    witnesses.  The swept property held universally exactly when both are
+    None.
     """
 
     checked: int
@@ -277,15 +278,13 @@ def dag_masks(n: int) -> Tuple[int, ...]:
 # -- chunked scan ----------------------------------------------------------------
 #
 # Each sweep provides a checker(n, p, mask, out_rows, in_rows) returning None
-# or a key: a violation tag or a class.  A sweep is cut into one chunk per
-# level p and top-vertex row; chunks always scan their whole share of the
-# space, so the outcome is worker-count independent.
-# Each chunk keeps the first mask per key, and within a level each chunk
-# lies wholly above the one before it, so merging the chunks' keys in chunk
-# order keeps each key's least mask, and the merged first key is the
-# least-mask counterexample of the first level that has one.  A checker
-# passes every digraph failing a condition of its sweep's kinds, so the
-# scan's gate cuts those branches instead of visiting them.
+# or a key: a violation tag or a class.  A labeled scan at level p is cut into
+# one chunk per top-vertex row, and each chunk scans its whole share, so the
+# outcome is worker-count independent.  Each chunk keeps the first mask per
+# key and lies wholly above the one before it, so merging the chunks' keys in
+# chunk order keeps each key's least mask; the first merged key is the
+# least-mask counterexample.  A checker passes every digraph failing a
+# condition of its sweep's kinds, so the gate cuts those branches unvisited.
 
 
 @lru_cache(maxsize=None)
@@ -326,6 +325,8 @@ def _checker_small_core_class(n, p, mask, out, inc):
     return _canon(tuple(adj)) if sum(1 for row in adj if row) < p else None
 
 
+# A checker run at p = 2 sees one representative per isomorphism class
+# (_violation), so it must give every relabeling of a digraph the same key.
 _CHECKERS: Dict[str, Callable] = {
     "core_shape": _checker_core_shape,
     "clique": _checker_clique,
@@ -338,13 +339,13 @@ _CHECKERS: Dict[str, Callable] = {
 def _scan(
     sweep: str,
     filt: EnumerationFilter,
+    p: int,
     kinds: Sequence[ConditionKind],
-    chunk: Tuple[int, int],
+    first_row: int,
 ) -> Tuple[int, Dict[object, int]]:
     """Check the digraphs of the space that meet the condition kinds at p and
-    whose top-vertex row is first_row, for chunk = (p, first_row); returns
-    (leaves visited, first mask per key)."""
-    p, first_row = chunk
+    whose top-vertex row is first_row; returns (leaves visited, first mask
+    per key)."""
     checker = _CHECKERS[sweep]
     n = filt.n
     leaves = 0
@@ -360,15 +361,14 @@ def _scan(
 def _run_scan(
     sweep: str,
     filt: EnumerationFilter,
-    levels: Sequence[int],
+    p: int,
     kinds: Sequence[ConditionKind],
     workers: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> Tuple[int, Dict[object, int]]:
-    """Sum of leaves, and each key's first mask, over one _scan per level p
-    and top-vertex row, merged in chunk order (level by level, one pool for
-    all)."""
-    chunks = [(p, row) for p in levels for row in _first_rows(filt)]
+    """Sum of leaves, and each key's first mask, over one _scan per
+    top-vertex row, merged in chunk order."""
+    chunks = list(_first_rows(filt))
     leaves, found = 0, {}
     with ExitStack() as stack:
         mapper = map
@@ -377,7 +377,7 @@ def _run_scan(
             from concurrent.futures import ProcessPoolExecutor
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        results = mapper(partial(_scan, sweep, filt, kinds), chunks)
+        results = mapper(partial(_scan, sweep, filt, p, kinds), chunks)
         for i, (chunk_leaves, chunk_found) in enumerate(results, 1):
             leaves += chunk_leaves
             for key, mask in chunk_found.items():
@@ -387,9 +387,22 @@ def _run_scan(
     return leaves, found
 
 
-def _first_violation(n: int, found: Dict[str, int]) -> Optional[Tuple[Digraph, str]]:
-    """The merged first violation of _run_scan as (digraph, tag), or None."""
-    return next(((Digraph.from_arc_mask(n, m), tag) for tag, m in found.items()), None)
+def _violation(
+    sweep: str, filt: EnumerationFilter, p: int, workers: int,
+    progress: Optional[Callable[[int, int], None]],
+) -> Optional[Tuple[Digraph, str]]:
+    """The least-mask digraph of the filter's space meeting C(p) and C'(p)
+    that the sweep's checker flags, with its tag, or None.  At p = 2 these
+    are the space's Ferrers digraphs, checked once per level matrix in this
+    process; at p >= 3, one gated labeled scan split over workers."""
+    n, checker = filt.n, _CHECKERS[sweep]
+    if p == 2:
+        matrices = level_matrices(n, filt.loopless or filt.acyclic, progress)
+        least = least_tagged_relabeling(n, matrices, partial(checker, n, 2))
+    else:
+        _, found = _run_scan(sweep, filt, p, _FOOT, workers, progress)
+        least = next(((m, tag) for tag, m in found.items()), None)
+    return least and (Digraph.from_arc_mask(n, least[0]), least[1])
 
 
 # -- theorem verifiers ----------------------------------------------------------
@@ -406,33 +419,18 @@ def verify_theorem_loopless(
     Only-if: every loopless digraph on n vertices satisfying the two foot
     conditions at level p whose CCE graph has at least p non-isolated
     vertices must be K_r u I_q with r >= p and q >= 2.  If: the explicit
-    construction works for every legal (r, q) with r + q = n.  The foot
-    gate cuts the digraphs that fail a condition; checked is 2^(n(n-1)).
+    construction works for every legal (r, q) with r + q = n.  At p = 2 the
+    digraphs meeting both conditions are the interval orders, one per
+    Fishburn matrix (_violation).  checked is 2^(n(n-1)).
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     check_cap("loopless", n)
     filt = EnumerationFilter(n, loopless=True)
-    _, found = _run_scan("core_shape", filt, (p,), _FOOT, workers, progress)
-    return SweepOutcome(
-        1 << n * (n - 1), _first_violation(n, found) or _verify_witnesses(p, n)
-    )
+    from .witnesses import loopless_witness_failure
 
-
-def _verify_witnesses(p: int, n: int) -> Optional[Tuple[Digraph, str]]:
-    from .graphs import cce_graph, decompose_kr_iq
-    from .witnesses import witness_loopless
-
-    subsets = tuple(itertools.combinations(range(n), p))
-    for r in range(p, n - 1):
-        q = n - r
-        w = witness_loopless(r, q)
-        shape = decompose_kr_iq(cce_graph(w))
-        if shape is None or (shape.r, shape.q) != (r, q):
-            return (w, f"witness CCE graph is not K_{r} u I_{q}")
-        if any(first_empty_foot(rows, subsets) for rows in (w.out_masks, w.in_masks)):
-            return (w, f"witness violates a foot condition at p={p}")
-    return None
+    ce = _violation("core_shape", filt, p, workers, progress)
+    return SweepOutcome(1 << n * (n - 1), ce or loopless_witness_failure(p, n))
 
 
 def verify_theorem_acyclic(
@@ -447,15 +445,16 @@ def verify_theorem_acyclic(
     graph that is edgeless, or K_r u I_q with r >= p and q >= 2, or a small
     core (fewer than p vertices, no isolated vertices inside) padded with at
     least dk(core) isolated vertices; the last holds for every DAG, which
-    itself realizes its core padded that way, so it is not re-checked.  The
-    foot gate cuts the DAGs that fail a condition; checked is _dag_count(n).
+    itself realizes its core padded that way, so it is not re-checked.  At
+    p = 2 the DAGs meeting both conditions are the interval orders, one per
+    Fishburn matrix (_violation).  checked is _dag_count(n).
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     check_cap("acyclic", n)
     filt = EnumerationFilter(n, acyclic=True)
-    _, found = _run_scan("core_shape", filt, (p,), _FOOT, workers, progress)
-    return SweepOutcome(_dag_count(n), _first_violation(n, found))
+    ce = _violation("core_shape", filt, p, workers, progress)
+    return SweepOutcome(_dag_count(n), ce)
 
 
 def _family_sweep(
@@ -480,29 +479,27 @@ def _family_sweep(
         return _canon(tuple(cce_adj(out, inc) if use_cce else competition_adj(out)))
 
     checked, interval_classes, semi_classes = 0, set(), set()
-    levels = level_counts(n, True)
-    for i, k in enumerate(levels, 1):
-        for weight, out, inc in level_matrices(n, True, (k,)):
-            checked += weight
-            canon = canon_of(out, inc)
-            interval_classes.add(canon)
-            if canon not in semi_classes and semiorder_feasible_masks(n, out):
-                semi_classes.add(canon)
-        if progress:
-            progress(i, len(levels))
+    for weight, out, inc in level_matrices(n, True, progress):
+        checked += weight
+        canon = canon_of(out, inc)
+        interval_classes.add(canon)
+        if canon not in semi_classes and semiorder_feasible_masks(n, out):
+            semi_classes.add(canon)
     for family, classes in (
         ("semiorder", semi_classes),
         ("interval-order", interval_classes),
     ):
         outside = sorted(classes - legal_shapes.keys())
         if outside:
-            mask = min(
-                least_relabeled_mask(n, out, inc)
-                for _, out, inc in level_matrices(n, True)
-                if canon_of(out, inc) == outside[0]
-                and (family != "semiorder" or semiorder_feasible_masks(n, out))
-            )
             tag = f"{family} derived graph outside the shape family"
+
+            def member(mask: int, out: List[int], inc: List[int]) -> Optional[str]:
+                in_class = canon_of(out, inc) == outside[0]
+                if in_class and family == "semiorder":
+                    in_class = semiorder_feasible_masks(n, out)
+                return tag if in_class else None
+
+            mask, _ = least_tagged_relabeling(n, level_matrices(n, True), member)
             return SweepOutcome(checked, (Digraph.from_arc_mask(n, mask), tag))
     # semiorder classes are interval-order classes, so a shape no interval
     # order realizes is reported for the larger family; past this loop both
@@ -599,7 +596,9 @@ def verify_theorem_props(
     in-rows, so they run once per labeled preorder, and a failure reports
     the digraph whose out-rows are the failing preorder's down-set rows.
     The clique proposition holds vacuously off C(p) and C'(p), so it is
-    scanned on the foot-gated space at p = 2, then p = 3; checked is 2^(n^2).
+    checked at p = 2 once per level matrix, in this process, then at p = 3
+    on the foot-gated labeled space; progress counts on from the p = 2
+    level counts to the p = 3 chunks.  checked is 2^(n^2).
     """
     check_cap("props", n)
     ce = None
@@ -609,8 +608,11 @@ def verify_theorem_props(
             ce = (Digraph.from_arc_mask(n, mask), tag)
             break
     filt, levels = EnumerationFilter(n), range(2, min(n, 3) + 1)
-    _, found = _run_scan("clique", filt, levels, _FOOT, workers, progress)
-    return SweepOutcome(1 << n * n, ce or _first_violation(n, found))
+    steps = [len(level_counts(n, False)), 1 << n][: len(levels)]  # p = 3: 2^n top rows
+    for p, done in zip(levels, (0, *steps)):
+        step = progress and (lambda i, _, done=done: progress(done + i, sum(steps)))
+        ce = ce or _violation("clique", filt, p, workers, step)
+    return SweepOutcome(1 << n * n, ce)
 
 
 # -- open-problem exploration ----------------------------------------------------
@@ -653,10 +655,8 @@ def _ferrers_classes(sweep: str, n: int) -> Dict[int, int]:
     the ascending labeled scan of that space, gated by C(2), which stops at
     the leaf that gives the last class its witness."""
     checker = _CHECKERS[sweep]
-    classes = {
-        checker(n, 2, sum(row << v * n for v, row in enumerate(out)), out, inc)
-        for _, out, inc in level_matrices(n, False)
-    } - {None}
+    classes = {checker(n, 2, rows_mask(n, out), out, inc)
+               for _, out, inc in level_matrices(n, False)} - {None}
     found: Dict[int, int] = {}
     gate = _condition_gate(n, 2, (ConditionKind.C,))
     for mask, out, inc in _digraph_rows(EnumerationFilter(n), gate=gate):
@@ -697,7 +697,7 @@ def explore_open_problem(
                 ferrers[sweep] = _ferrers_classes(sweep, n)
             classes = ferrers[sweep]
         else:
-            _, classes = _run_scan(sweep, EnumerationFilter(n), (p,), kinds, workers)
+            _, classes = _run_scan(sweep, EnumerationFilter(n), p, kinds, workers)
         sections[section] = tuple(
             ExploreClass(c, graph_from_canonical(n, c), Digraph.from_arc_mask(n, m))
             for c, m in sorted(classes.items())

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 @lru_cache(maxsize=None)
@@ -40,16 +40,18 @@ def level_counts(n: int, loopless: bool) -> Sequence[int]:
 
 
 def level_matrices(
-    n: int, loopless: bool, levels: Optional[Sequence[int]] = None
+    n: int, loopless: bool, progress: Optional[Callable[[int, int], None]] = None
 ) -> Iterator[Tuple[int, List[int], List[int]]]:
-    """Every level matrix with entries summing to n, for each level count k
-    in levels (all of them by default), as (weight n!/prod m_ij!, out-rows,
-    in-rows) of one representative: the vertices fill the non-zero cells in
-    row-major order, and x -> y iff a(x) > b(y).  With loopless, only cells
-    with i <= j are used.  A matrix is built row by row, each row a weak
-    composition of its sum over the row's cells."""
+    """Every level matrix with entries summing to n, level count by level
+    count, as (weight n!/prod m_ij!, out-rows, in-rows) of one
+    representative: the vertices fill the non-zero cells in row-major order,
+    and x -> y iff a(x) > b(y).  With loopless, only cells with i <= j are
+    used.  A matrix is built row by row, each row a weak composition of its
+    sum over the row's cells.  progress(i, total), when given, follows the
+    i-th level count's last matrix."""
     fact = [math.factorial(i) for i in range(n + 1)]
-    for k in level_counts(n, loopless) if levels is None else levels:
+    levels = level_counts(n, loopless)
+    for step, k in enumerate(levels, 1):
 
         def rows(i: int, left: int, zero: int, denom: int) -> Iterator[int]:
             """Fill rows i .. k - 1 with left vertices, given the columns
@@ -94,6 +96,13 @@ def level_matrices(
                 above[i - 1] |= above[i]
             out = [below[a] for a, _ in pairs]
             yield fact[n] // denom, out, [above[b] for _, b in pairs]
+        if progress:
+            progress(step, len(levels))
+
+
+def rows_mask(n: int, out: Sequence[int]) -> int:
+    """The arc mask of the digraph with the given out-rows."""
+    return sum(row << v * n for v, row in enumerate(out))
 
 
 def least_relabeled_mask(n: int, out: Sequence[int], ins: Sequence[int]) -> int:
@@ -112,8 +121,7 @@ def least_relabeled_mask(n: int, out: Sequence[int], ins: Sequence[int]) -> int:
     def masks(u: int) -> Iterator[int]:
         """The masks of every way to give labels u .. n - 1 to the classes."""
         if u == n:
-            rows = [sum(labels[t] for t in succ[s]) for s in kind_of]
-            yield sum(row << v * n for v, row in enumerate(rows))
+            yield rows_mask(n, [sum(labels[t] for t in succ[s]) for s in kind_of])
             return
         for s, count in enumerate(left):
             if count:
@@ -122,3 +130,24 @@ def least_relabeled_mask(n: int, out: Sequence[int], ins: Sequence[int]) -> int:
                 left[s], labels[s] = count, labels[s] ^ 1 << u
 
     return min(masks(0))
+
+
+def least_tagged_relabeling(
+    n: int,
+    matrices: Iterable[Tuple[int, List[int], List[int]]],
+    tag_of: Callable[[int, List[int], List[int]], Optional[str]],
+) -> Optional[Tuple[int, str]]:
+    """The least (least relabeled mask, tag) over the level matrices whose
+    representative tag_of(arc mask, out-rows, in-rows) tags, or None; the
+    relabelings are walked for the tagged matrices only.  When tag_of gives
+    every relabeling the same tag, the mask is the least tagged one among
+    the labeled digraphs the matrices stand for."""
+    return min(
+        (
+            (least_relabeled_mask(n, out, inc), tag)
+            for _, out, inc in matrices
+            for tag in (tag_of(rows_mask(n, out), out, inc),)
+            if tag is not None
+        ),
+        default=None,
+    )

@@ -416,8 +416,8 @@ def test_commands_without_sweeps_load_neither_the_pool_nor_the_sweeps(workdir):
     assert json.loads(r.stdout) == [[0, 0, 0, 0], []]
 
     # the pool is still loaded where a sweep runs on workers
-    r = run_cli("verify", "--theorem", "loopless", "--n", "4", "--threads", "2",
-                "--json")
+    r = run_cli("verify", "--theorem", "loopless", "--n", "4", "--p", "3",
+                "--threads", "2", "--json")
     assert r.returncode == 0
     assert json.loads(r.stdout)["checked"] == 4096
 

@@ -624,7 +624,7 @@ def test_explore_p2_classes_match_the_labeled_gated_scan():
             report = explore_open_problem(problem, 2, n)
             for section, (kinds, sweep) in sections.items():
                 filt = EnumerationFilter(n)
-                _, classes = enumeration._run_scan(sweep, filt, (2,), kinds)
+                _, classes = enumeration._run_scan(sweep, filt, 2, kinds)
                 witnesses = report.sections[section]
                 assert {c.canonical: c.witness.arc_mask() for c in witnesses} == classes
 
@@ -647,8 +647,9 @@ def test_verify_props_small():
     assert verify_theorem_props(2).verified
     seen = []
     assert verify_theorem_props(3, progress=lambda *step: seen.append(step)).verified
-    # one chunk per top-vertex row at p = 2, then at p = 3, counted on
-    assert seen == [(i, 16) for i in range(1, 17)]
+    # one step per level count at p = 2 (k = 1 .. 4), then one chunk per
+    # top-vertex row at p = 3, counted on
+    assert seen == [(i, 12) for i in range(1, 13)]
 
 
 def test_sweeps_deterministic_across_worker_counts():
@@ -711,10 +712,13 @@ def test_loopless_counterexample_is_least_mask(monkeypatch):
 
 def test_theorem_checker_sees_exactly_the_digraphs_meeting_c_and_c_prime(monkeypatch):
     # the theorem sweeps gate on the foot conditions (not the head ones, which
-    # coincide with them only at p = 2) and visit every digraph meeting both
+    # coincide with them only at p = 2) and visit every digraph meeting both:
+    # at p = 3 each labeled one in mask order, at p = 2 one representative
+    # per isomorphism class, whose relabelings are each of them once
     seen = []
 
     def record(n, p, mask, out, inc):
+        assert mask == rep_mask(n, out)
         seen.append(mask)
 
     def loopless_masks(n):
@@ -730,7 +734,12 @@ def test_theorem_checker_sees_exactly_the_digraphs_meeting_c_and_c_prime(monkeyp
                 del seen[:]
                 verify(p, n, workers=1)
                 met = [m for m in space(n) if {"C", "Cp"} <= conditions_met(n, m, p)]
-                assert seen == sorted(met)
+                if p == 2:
+                    classes = [relabelings(n, m) for m in seen]
+                    assert sum(map(len, classes)) == len(met)
+                    assert set().union(*classes) == set(met)
+                else:
+                    assert seen == sorted(met)
 
 
 def test_props_counterexample_is_least_mask(monkeypatch):
@@ -749,6 +758,70 @@ def test_props_counterexample_is_least_mask(monkeypatch):
             assert outcome.counterexample == (
                 Digraph.from_arc_mask(n, least), "at least 3 arcs, C and C'"
             )
+
+
+def degree_pairs(n, mask):
+    """The sorted (out-degree, in-degree) pairs of a digraph: the same for
+    every relabeling, and a different one for each class of Ferrers digraphs."""
+    d = Digraph.from_arc_mask(n, mask)
+    degrees = zip(d.out_masks, d.in_masks)
+    return tuple(sorted((bin(out).count("1"), bin(inc).count("1")) for out, inc in degrees))
+
+
+# p = 2 sweep -> (its call at n, the checker it runs, whether its level
+# matrices are loopless, its labeled space ascending, the largest n)
+P2_SWEEPS = {
+    "loopless": (lambda n: verify_theorem_loopless(2, n), "core_shape", True,
+                 lambda n: sorted(oracles.loopless_masks(n)), 4),
+    "acyclic": (lambda n: verify_theorem_acyclic(2, n), "core_shape", True,
+                lambda n: sorted(oracles.dag_mask_set(n)), 5),
+    "props": (verify_theorem_props, "clique", False, lambda n: range(1 << n * n), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(P2_SWEEPS))
+def test_p2_sweep_reports_the_least_labeled_failing_mask(name, monkeypatch):
+    # a checker flagging classes at p = 2 whose representatives are not their
+    # least relabelings: the report is the least labeled digraph of the space
+    # meeting C(2) and C'(2) in a flagged class, by brute force
+    verify, sweep, loopless, space, max_n = P2_SWEEPS[name]
+    for n in range(2, max_n + 1):
+        targets = sorted({
+            degree_pairs(n, rep_mask(n, out)) for _, out, _ in level_matrices(n, loopless)
+            if rep_mask(n, out) != min(relabelings(n, rep_mask(n, out)))
+        })
+        assert targets
+        if n == 4 and name == "props":
+            targets = random.Random(4).sample(targets, 8)
+        least = {}
+        for m in space(n):
+            key = degree_pairs(n, m)
+            if key in targets and key not in least:
+                if {"C", "Cp"} <= conditions_met(n, m, 2):
+                    least[key] = m
+        # each target class alone, then all of them: the least of their masks
+        for flagged_keys in [[target] for target in targets] + [targets]:
+            def flag_targets(n, p, mask, out, inc):
+                flag = p == 2 and degree_pairs(n, mask) in flagged_keys
+                return "target class" if flag else None
+
+            monkeypatch.setitem(_CHECKERS, sweep, flag_targets)
+            expected = min(least[key] for key in flagged_keys)
+            assert verify(n).counterexample == (
+                Digraph.from_arc_mask(n, expected), "target class"
+            )
+
+
+def test_p2_loopless_and_acyclic_sweeps_never_run_the_labeled_scan(monkeypatch):
+    monkeypatch.setattr(enumeration, "_run_scan", reached)
+    for n in range(7):
+        for workers in (1, 2):
+            assert verify_theorem_loopless(2, n, workers) == SweepOutcome(1 << n * (n - 1))
+            assert verify_theorem_acyclic(2, n, workers) == SweepOutcome(_dag_count(n))
+    # props scans the labeled digraphs at p = 3 only
+    assert verify_theorem_props(2, workers=2) == SweepOutcome(16)
+    with pytest.raises(Reached):
+        verify_theorem_props(3)
 
 
 def test_clique_checker_flags_a_core_that_is_not_a_clique():
