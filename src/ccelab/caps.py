@@ -18,15 +18,16 @@ DEFAULT_CAPS = {
     # ~3-4.7 s; n = 12 has 10.9 M matrices
     "order": 11,
     # the loopless theorem sweep: at p = 2 one Fishburn matrix per interval
-    # order, n = 7 in under 0.2 s in one process; at p = 3 the gated labeled
-    # scan, n = 7 in ~142 s on 2 workers
+    # order, at p = 3 these plus the two-arc matchings, n = 7 in under 0.2 s
+    # in one process; at p >= 4 the gated labeled scan, which sets the cap:
+    # n = 7 at p = 4 takes ~281 s on 2 workers
     "loopless": 7,
-    # DAG enumeration and the acyclic theorem sweep: at p = 2 as loopless,
-    # n = 7 in under 0.2 s; at p = 3 the gated DAG scan, n = 7 in ~61 s on 2
-    # workers
+    # DAG enumeration and the acyclic theorem sweep: at p <= 3 as loopless,
+    # n = 7 in under 0.2 s; at p >= 4 the gated DAG scan, n = 7 at p = 4 in
+    # ~117 s on 2 workers
     "acyclic": 7,
-    # the proposition bundle over all 2^(n^2) digraphs: n = 5 takes ~5 s on
-    # 2 workers and ~9 s on one
+    # the proposition bundle over all 2^(n^2) digraphs, in one process: n = 5
+    # takes ~1 s, most of it the row lemmas over 6,942 preorders
     "props": 5,
     # explore: at n = 5 and p = 3 problem 3 takes ~31 s on one core and ~19 s
     # on 2 workers; at p = 2 each problem takes under 0.5 s at n = 5, but

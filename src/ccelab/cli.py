@@ -326,12 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default="counterexample.digraph", metavar="FILE")
     p.add_argument("--threads", type=int, default=0,
                    help="worker processes (0 = one per CPU) for the labeled "
-                        "sweeps: loopless and acyclic at p >= 3 and the props "
-                        "clique scan at p = 3; main0, kr and every p = 2 "
-                        "sweep run in one process and ignore it")
+                        "sweeps: loopless and acyclic at p >= 4; main0, kr, "
+                        "props and every sweep at p <= 3 run in one process "
+                        "and ignore it")
     p.add_argument("--progress", action="store_true",
-                   help="print finished chunks to stderr (at p = 2 and for "
-                        "main0 and kr, one per level count)")
+                   help="print finished chunks to stderr (at p <= 3 and for "
+                        "main0, kr and props, one per level count)")
     _with_json(p, _cmd_verify)
 
     p = sub.add_parser("explore", help="survey an open problem's graph classes")

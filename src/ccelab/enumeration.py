@@ -5,8 +5,8 @@ Labeled enumeration: arc (u, v) <-> bit u*n + v.  One generator,
 _digraph_rows, yields (mask, out-rows, in-rows) for each of the three spaces
 an EnumerationFilter selects (all digraphs, loopless, acyclic) by assigning
 out-rows from the top vertex down, so every space comes out in ascending
-mask order.  The loopless and acyclic sweeps, the props clique scan and the
-explore surveys at p >= 3 run it through a condition gate in one chunk per
+mask order.  The loopless and acyclic sweeps at p >= 4 and the explore
+surveys at p >= 3 run it through a condition gate in one chunk per
 top-vertex row, taken in mask order (_run_scan).  The props row lemmas run
 once per labeled preorder (_preorder_rows).  These sweeps never stop early,
 and the first hit of a sweep (its first counterexample, each class's first
@@ -17,8 +17,11 @@ Unlabeled enumeration: at p = 2 each condition says the rows are nested, so
 every p = 2 sweep (loopless, acyclic and main0/kr over the interval orders,
 the props clique scan and explore over all Ferrers digraphs) takes one
 representative per isomorphism class from the level matrices
-(levels.level_matrices), weighted by its number of labelings.  They run in
-one process; their counterexamples and witnesses are least masks too.
+(levels.level_matrices), weighted by its number of labelings.  At p = 3 the
+loopless, acyclic and props clique sweeps add the two-arc matchings, the
+only other digraphs meeting C(3) and C'(3) (_violation), checked one by
+one.  They run in one process; their counterexamples and witnesses are
+least masks too.
 
 The heavy sweeps work on raw masks and neighborhood rows; Digraph objects
 are only materialized for witnesses and reports.  Mask-level logic is
@@ -325,8 +328,9 @@ def _checker_small_core_class(n, p, mask, out, inc):
     return _canon(tuple(adj)) if sum(1 for row in adj if row) < p else None
 
 
-# A checker run at p = 2 sees one representative per isomorphism class
-# (_violation), so it must give every relabeling of a digraph the same key.
+# A checker run at p = 2 or 3 sees one representative per isomorphism class
+# of Ferrers digraphs (_violation), so it must give every relabeling of a
+# digraph the same key.
 _CHECKERS: Dict[str, Callable] = {
     "core_shape": _checker_core_shape,
     "clique": _checker_clique,
@@ -387,18 +391,56 @@ def _run_scan(
     return leaves, found
 
 
+def _two_arc_matchings(
+    filt: EnumerationFilter,
+) -> Iterator[Tuple[int, List[int], List[int]]]:
+    """The digraphs of the filter's space with exactly two arcs a -> c and
+    b -> d, where a != b and c != d, as (arc mask, out-rows, in-rows)."""
+    n = filt.n
+    arcs = [(u, v) for u in range(n) for v in range(n)
+            if not (u == v and (filt.loopless or filt.acyclic))]
+    for (a, c), (b, d) in itertools.combinations(arcs, 2):
+        if a != b and c != d and not (filt.acyclic and (a, c) == (d, b)):
+            out, inc = [0] * n, [0] * n
+            out[a], out[b], inc[c], inc[d] = 1 << c, 1 << d, 1 << a, 1 << b
+            yield 1 << a * n + c | 1 << b * n + d, out, inc
+
+
 def _violation(
     sweep: str, filt: EnumerationFilter, p: int, workers: int,
     progress: Optional[Callable[[int, int], None]],
 ) -> Optional[Tuple[Digraph, str]]:
     """The least-mask digraph of the filter's space meeting C(p) and C'(p)
-    that the sweep's checker flags, with its tag, or None.  At p = 2 these
-    are the space's Ferrers digraphs, checked once per level matrix in this
-    process; at p >= 3, one gated labeled scan split over workers."""
+    that the sweep's checker flags, with its tag, or None.
+
+    At p = 2 these are the space's Ferrers digraphs, and at p = 3 the
+    Ferrers digraphs plus the two-arc matchings (_two_arc_matchings):
+
+    Lemma.  The out-rows meet C(3) and the in-rows C'(3) iff the out-rows
+    are nested or the digraph is a two-arc matching.  Nested rows meet C(2),
+    so C(3), and make nested in-rows.  A matching meets both, as every 3-set
+    holds a vertex with an empty out-row and one with an empty in-row.
+    Conversely, let out(a) and out(b) be incomparable.  C(3) puts every
+    other out-row inside out(a) & out(b), as {a, b, x} needs a foot.  Take
+    c in out(a) - out(b) and d in out(b) - out(a).  in(c) and in(d) are
+    incomparable, as a lies in in(c) only and b in in(d) only, so C'(3) puts
+    every other in-row inside in(c) & in(d), which holds neither a nor b.
+    So out(a) = {c}, out(b) = {d}, and every other out-row, inside both, is
+    empty.  (For n <= 2 there is no 3-set, and two incomparable subsets of
+    {0, 1} are {0} and {1}.)  The loops a -> a and b -> b occur in the
+    props space only, and the acyclic space drops the 2-cycle a -> b, b -> a.
+
+    The Ferrers digraphs are checked once per level matrix, as the checkers
+    are isomorphism invariant, and each matching on its own, all in this
+    process; at p >= 4, one gated labeled scan split over workers."""
     n, checker = filt.n, _CHECKERS[sweep]
-    if p == 2:
+    if p <= 3:
         matrices = level_matrices(n, filt.loopless or filt.acyclic, progress)
-        least = least_tagged_relabeling(n, matrices, partial(checker, n, 2))
+        least = least_tagged_relabeling(n, matrices, partial(checker, n, p))
+        matchings = _two_arc_matchings(filt) if p == 3 else ()
+        tagged = [(mask, tag) for mask, out, inc in matchings
+                  for tag in (checker(n, p, mask, out, inc),) if tag is not None]
+        least = min(filter(None, [least, *tagged]), default=None)
     else:
         _, found = _run_scan(sweep, filt, p, _FOOT, workers, progress)
         least = next(((m, tag) for tag, m in found.items()), None)
@@ -421,7 +463,8 @@ def verify_theorem_loopless(
     vertices must be K_r u I_q with r >= p and q >= 2.  If: the explicit
     construction works for every legal (r, q) with r + q = n.  At p = 2 the
     digraphs meeting both conditions are the interval orders, one per
-    Fishburn matrix (_violation).  checked is 2^(n(n-1)).
+    Fishburn matrix, and at p = 3 these plus the two-arc matchings
+    (_violation).  checked is 2^(n(n-1)).
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
@@ -447,7 +490,8 @@ def verify_theorem_acyclic(
     least dk(core) isolated vertices; the last holds for every DAG, which
     itself realizes its core padded that way, so it is not re-checked.  At
     p = 2 the DAGs meeting both conditions are the interval orders, one per
-    Fishburn matrix (_violation).  checked is _dag_count(n).
+    Fishburn matrix, and at p = 3 these plus the acyclic two-arc matchings
+    (_violation).  checked is _dag_count(n).
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
@@ -595,10 +639,11 @@ def verify_theorem_props(
     preorder.  Every row tuple is a digraph's out-rows and another's
     in-rows, so they run once per labeled preorder, and a failure reports
     the digraph whose out-rows are the failing preorder's down-set rows.
-    The clique proposition holds vacuously off C(p) and C'(p), so it is
-    checked at p = 2 once per level matrix, in this process, then at p = 3
-    on the foot-gated labeled space; progress counts on from the p = 2
-    level counts to the p = 3 chunks.  checked is 2^(n^2).
+    The clique proposition holds vacuously off C(p) and C'(p), so at p = 2
+    it is checked once per level matrix, and at p = 3 once per level matrix
+    and on each two-arc matching (_violation), all in this process: workers
+    splits nothing.  progress steps once per level count, counting on from
+    p = 2 to p = 3.  checked is 2^(n^2).
     """
     check_cap("props", n)
     ce = None
@@ -608,9 +653,11 @@ def verify_theorem_props(
             ce = (Digraph.from_arc_mask(n, mask), tag)
             break
     filt, levels = EnumerationFilter(n), range(2, min(n, 3) + 1)
-    steps = [len(level_counts(n, False)), 1 << n][: len(levels)]  # p = 3: 2^n top rows
-    for p, done in zip(levels, (0, *steps)):
-        step = progress and (lambda i, _, done=done: progress(done + i, sum(steps)))
+    steps = len(level_counts(n, False))
+    for done, p in enumerate(levels):
+        step = progress and (
+            lambda i, _, done=done * steps: progress(done + i, len(levels) * steps)
+        )
         ce = ce or _violation("clique", filt, p, workers, step)
     return SweepOutcome(1 << n * n, ce)
 

@@ -34,6 +34,7 @@ from ccelab.enumeration import (
     _first_rows,
     _kr_iq_shapes,
     _preorder_rows,
+    _two_arc_matchings,
 )
 from ccelab.graphs import (
     canonical_form,
@@ -647,9 +648,9 @@ def test_verify_props_small():
     assert verify_theorem_props(2).verified
     seen = []
     assert verify_theorem_props(3, progress=lambda *step: seen.append(step)).verified
-    # one step per level count at p = 2 (k = 1 .. 4), then one chunk per
-    # top-vertex row at p = 3, counted on
-    assert seen == [(i, 12) for i in range(1, 13)]
+    # one step per level count (k = 1 .. 4) at p = 2, then again at p = 3,
+    # counted on
+    assert seen == [(i, 8) for i in range(1, 9)]
 
 
 def test_sweeps_deterministic_across_worker_counts():
@@ -710,11 +711,17 @@ def test_loopless_counterexample_is_least_mask(monkeypatch):
             )
 
 
+def rows_nested(n, mask):
+    out = Digraph.from_arc_mask(n, mask).out_masks
+    return all(a & b in (a, b) for a, b in itertools.combinations(out, 2))
+
+
 def test_theorem_checker_sees_exactly_the_digraphs_meeting_c_and_c_prime(monkeypatch):
     # the theorem sweeps gate on the foot conditions (not the head ones, which
     # coincide with them only at p = 2) and visit every digraph meeting both:
-    # at p = 3 each labeled one in mask order, at p = 2 one representative
-    # per isomorphism class, whose relabelings are each of them once
+    # one representative per isomorphism class of those with nested rows,
+    # whose relabelings are each of them once, and at p = 3 each other one,
+    # a two-arc matching, on its own
     seen = []
 
     def record(n, p, mask, out, inc):
@@ -729,17 +736,15 @@ def test_theorem_checker_sees_exactly_the_digraphs_meeting_c_and_c_prime(monkeyp
         (verify_theorem_acyclic, oracles.dag_mask_set),
         (verify_theorem_loopless, loopless_masks),
     ):
-        for n in (3, 4):
+        for n in (2, 3, 4):
             for p in (2, 3):
                 del seen[:]
                 verify(p, n, workers=1)
                 met = [m for m in space(n) if {"C", "Cp"} <= conditions_met(n, m, p)]
-                if p == 2:
-                    classes = [relabelings(n, m) for m in seen]
-                    assert sum(map(len, classes)) == len(met)
-                    assert set().union(*classes) == set(met)
-                else:
-                    assert seen == sorted(met)
+                classes = [relabelings(n, m) for m in seen if rows_nested(n, m)]
+                labeled = [m for m in seen if not rows_nested(n, m)]
+                assert sum(map(len, classes)) + len(labeled) == len(met)
+                assert set().union(*classes, labeled) == set(met)
 
 
 def test_props_counterexample_is_least_mask(monkeypatch):
@@ -779,6 +784,17 @@ P2_SWEEPS = {
 }
 
 
+def unsorted_classes(name, n, loopless):
+    """The degree pairs of the level matrices whose representative is not
+    its least relabeling; 8 of them for props at n = 4."""
+    targets = sorted({
+        degree_pairs(n, rep_mask(n, out)) for _, out, _ in level_matrices(n, loopless)
+        if rep_mask(n, out) != min(relabelings(n, rep_mask(n, out)))
+    })
+    assert targets
+    return random.Random(4).sample(targets, 8) if (name, n) == ("props", 4) else targets
+
+
 @pytest.mark.parametrize("name", sorted(P2_SWEEPS))
 def test_p2_sweep_reports_the_least_labeled_failing_mask(name, monkeypatch):
     # a checker flagging classes at p = 2 whose representatives are not their
@@ -786,13 +802,7 @@ def test_p2_sweep_reports_the_least_labeled_failing_mask(name, monkeypatch):
     # meeting C(2) and C'(2) in a flagged class, by brute force
     verify, sweep, loopless, space, max_n = P2_SWEEPS[name]
     for n in range(2, max_n + 1):
-        targets = sorted({
-            degree_pairs(n, rep_mask(n, out)) for _, out, _ in level_matrices(n, loopless)
-            if rep_mask(n, out) != min(relabelings(n, rep_mask(n, out)))
-        })
-        assert targets
-        if n == 4 and name == "props":
-            targets = random.Random(4).sample(targets, 8)
+        targets = unsorted_classes(name, n, loopless)
         least = {}
         for m in space(n):
             key = degree_pairs(n, m)
@@ -812,16 +822,108 @@ def test_p2_sweep_reports_the_least_labeled_failing_mask(name, monkeypatch):
             )
 
 
-def test_p2_loopless_and_acyclic_sweeps_never_run_the_labeled_scan(monkeypatch):
+def test_p3_foot_gated_leaves_are_the_ferrers_digraphs_and_the_two_arc_matchings():
+    # the lemma of _violation: a digraph of the space meets C(3) and C'(3)
+    # iff its rows are nested (a labeling of one of the level matrices) or
+    # it is one of the two-arc matchings, C(n, 2) source pairs times the
+    # target pairs of each space
+    spaces = (
+        ((False, False), 4, False, lambda n: n * (n - 1), 6974),
+        ((True, False), 5, True, lambda n: n * n - 3 * n + 3, 3581),
+        ((False, True), 5, True, lambda n: (n - 1) * (n - 2), 3571),
+    )
+    for flags, max_n, loopless, target_pairs, leaf_count in spaces:
+        for n in range(max_n + 1):
+            filt = EnumerationFilter(n, *flags)
+            gate = _condition_gate(n, 3, FOOT)
+            leaves = {mask for mask, _, _ in _digraph_rows(filt, gate=gate)}
+            ferrers = {m for m in leaves if rows_nested(n, m)}
+            assert len(ferrers) == sum(w for w, _, _ in level_matrices(n, loopless))
+            matchings = []
+            for mask, out, inc in _two_arc_matchings(filt):
+                d = Digraph.from_arc_mask(n, mask)
+                assert (tuple(out), tuple(inc)) == (d.out_masks, d.in_masks)
+                matchings.append(mask)
+            assert len(matchings) == math.comb(n, 2) * target_pairs(n)
+            assert len(set(matchings)) == len(matchings)
+            assert set(matchings) == leaves - ferrers
+        assert len(leaves) == leaf_count
+    # n = 7, beyond a gated scan in a test: 651 and 630 (the ROADMAP table)
+    assert len(list(_two_arc_matchings(EnumerationFilter(7, loopless=True)))) == 651
+    assert len(list(_two_arc_matchings(EnumerationFilter(7, acyclic=True)))) == 630
+
+
+P3_CALLS = {
+    "loopless": lambda n: verify_theorem_loopless(3, n),
+    "acyclic": lambda n: verify_theorem_acyclic(3, n),
+    "props": verify_theorem_props,
+}
+
+
+@pytest.mark.parametrize("name", sorted(P3_CALLS))
+def test_p3_sweep_reports_the_least_labeled_failing_mask(name, monkeypatch):
+    # a checker flagging at p = 3 the two-arc matchings, a class of Ferrers
+    # digraphs whose representative is not its least relabeling, or both:
+    # the report is the least labeled digraph of the space meeting C(3) and
+    # C'(3) in a flagged class, by brute force
+    _, sweep, loopless, space, max_n = P2_SWEEPS[name]
+
+    def key(n, mask):
+        matching = bin(mask).count("1") == 2 and not rows_nested(n, mask)
+        return "matching" if matching else degree_pairs(n, mask)
+
+    matching_first = set()
+    for n in range(3, max_n + 1):
+        targets = unsorted_classes(name, n, loopless)
+        least = {}
+        for m in space(n):
+            k = key(n, m)
+            if (k == "matching" or k in targets) and k not in least:
+                if {"C", "Cp"} <= conditions_met(n, m, 3):
+                    least[k] = m
+        flag_sets = [["matching"]] + [[t] for t in targets]
+        for flagged_keys in flag_sets + [["matching", t] for t in targets]:
+            def flag(n, p, mask, out, inc):
+                return "flagged" if p == 3 and key(n, mask) in flagged_keys else None
+
+            monkeypatch.setitem(_CHECKERS, sweep, flag)
+            expected = min(least[k] for k in flagged_keys)
+            assert P3_CALLS[name](n).counterexample == (
+                Digraph.from_arc_mask(n, expected), "flagged"
+            )
+            if len(flagged_keys) == 2:
+                matching_first.add(expected == least["matching"])
+    # the pairs have each half least somewhere
+    assert matching_first == {True, False}
+
+
+def test_p2_and_p3_sweeps_never_run_the_labeled_scan(monkeypatch):
     monkeypatch.setattr(enumeration, "_run_scan", reached)
-    for n in range(7):
-        for workers in (1, 2):
-            assert verify_theorem_loopless(2, n, workers) == SweepOutcome(1 << n * (n - 1))
-            assert verify_theorem_acyclic(2, n, workers) == SweepOutcome(_dag_count(n))
-    # props scans the labeled digraphs at p = 3 only
-    assert verify_theorem_props(2, workers=2) == SweepOutcome(16)
-    with pytest.raises(Reached):
-        verify_theorem_props(3)
+    for p in (2, 3):
+        for n in range(7):
+            for workers in (1, 2):
+                outcome = verify_theorem_loopless(p, n, workers)
+                assert outcome == SweepOutcome(1 << n * (n - 1))
+                assert verify_theorem_acyclic(p, n, workers) == SweepOutcome(_dag_count(n))
+    # nor does props, whose clique check runs at p = 2 and 3 only
+    for n in range(5):
+        assert verify_theorem_props(n, workers=2) == SweepOutcome(1 << n * n)
+
+
+def test_p4_sweeps_run_the_labeled_scan(monkeypatch):
+    calls, run_scan = [], enumeration._run_scan
+
+    def spy(sweep, filt, p, kinds, workers=1, progress=None):
+        calls.append((sweep, filt, p, kinds, workers))
+        return run_scan(sweep, filt, p, kinds, workers, progress)
+
+    monkeypatch.setattr(enumeration, "_run_scan", spy)
+    assert verify_theorem_loopless(4, 5, 2) == SweepOutcome(1 << 20)
+    assert verify_theorem_acyclic(4, 5, 2) == SweepOutcome(_dag_count(5))
+    assert calls == [
+        ("core_shape", EnumerationFilter(5, loopless=True), 4, FOOT, 2),
+        ("core_shape", EnumerationFilter(5, acyclic=True), 4, FOOT, 2),
+    ]
 
 
 def test_clique_checker_flags_a_core_that_is_not_a_clique():
