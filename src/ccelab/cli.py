@@ -87,10 +87,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _workers(args) -> int:
-    threads = getattr(args, "threads", 1)
-    if threads and threads > 0:
-        return threads
-    return os.cpu_count() or 1
+    return args.threads or os.cpu_count() or 1
 
 
 def _emit(args, payload: dict, text: str, out: Optional[str] = None) -> None:
@@ -210,10 +207,10 @@ def _progress(done: int, total: int) -> None:
 def _cmd_verify(args) -> int:
     theorem = args.theorem
     p = args.p if theorem in _TAKES_P else None
-    sweep_args = (args.n,) if p is None else (p, args.n)
+    # only the theorems that take p can split their labeled scan over workers
+    sweep_args = (args.n,) if p is None else (p, args.n, _workers(args))
     outcome = getattr(_cli, f"verify_theorem_{theorem}")(
-        *sweep_args, workers=_workers(args),
-        progress=_progress if args.progress else None,
+        *sweep_args, progress=_progress if args.progress else None
     )
 
     payload = {"theorem": theorem, "n": args.n, "p": p, "checked": outcome.checked,
@@ -261,6 +258,14 @@ def _cmd_explore(args) -> int:
 
 
 # -- parser ------------------------------------------------------------------------
+
+
+def _threads(text: str) -> int:
+    """A --threads value: a worker count, or 0 for one per CPU."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
 
 
 def _with_json(p: argparse.ArgumentParser, handler) -> None:
@@ -311,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--witness-out", metavar="FILE")
-    p.add_argument("--threads", type=int, default=0,
+    p.add_argument("--threads", type=_threads, default=0,
                    help="ignored: dk runs in one process")
     _with_json(p, _cmd_dk)
 
@@ -324,11 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--report", default="counterexample.digraph", metavar="FILE")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker processes (0 = one per CPU) for the labeled "
-                        "sweeps: loopless and acyclic at p >= 4; main0, kr, "
-                        "props and every sweep at p <= 3 run in one process "
-                        "and ignore it")
+    p.add_argument("--threads", type=_threads, default=0,
+                   help="worker processes (0 = one per CPU) for loopless and "
+                        "acyclic at p >= 4; other sweeps ignore it")
     p.add_argument("--progress", action="store_true",
                    help="print finished chunks to stderr (at p <= 3 and for "
                         "main0, kr and props, one per level count)")
@@ -338,9 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", type=int, choices=[1, 2, 3], required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker processes (0 = one per CPU) for the labeled "
-                        "sweeps at p >= 3; p = 2 runs in one process")
+    p.add_argument("--threads", type=_threads, default=0,
+                   help="worker processes (0 = one per CPU) at p >= 3")
     _with_json(p, _cmd_explore)
 
     return parser

@@ -7,11 +7,11 @@ an EnumerationFilter selects (all digraphs, loopless, acyclic) by assigning
 out-rows from the top vertex down, so every space comes out in ascending
 mask order.  The loopless and acyclic sweeps at p >= 4 and the explore
 surveys at p >= 3 run it through a condition gate in one chunk per
-top-vertex row, taken in mask order (_run_scan).  The props row lemmas run
-once per labeled preorder (_preorder_rows).  These sweeps never stop early,
-and the first hit of a sweep (its first counterexample, each class's first
-witness) is the least-mask one, so the outcome is identical for any worker
-count.
+top-vertex row, taken in mask order (_run_scan); only these take a worker
+count.  The props row lemmas run once per labeled preorder (_preorder_rows).
+These sweeps never stop early, and the first hit of a sweep (its first
+counterexample, each class's first witness) is the least-mask one, so the
+outcome is identical for any worker count.
 
 Unlabeled enumeration: at p = 2 each condition says the rows are nested, so
 every p = 2 sweep (loopless, acyclic and main0/kr over the interval orders,
@@ -19,9 +19,8 @@ the props clique scan and explore over all Ferrers digraphs) takes one
 representative per isomorphism class from the level matrices
 (levels.level_matrices), weighted by its number of labelings.  At p = 3 the
 loopless, acyclic and props clique sweeps add the two-arc matchings, the
-only other digraphs meeting C(3) and C'(3) (_violation), checked one by
-one.  They run in one process; their counterexamples and witnesses are
-least masks too.
+only other digraphs meeting C(3) and C'(3) (_violation).  They run in one
+process; their counterexamples and witnesses are least masks too.
 
 The heavy sweeps work on raw masks and neighborhood rows; Digraph objects
 are only materialized for witnesses and reports.  Mask-level logic is
@@ -345,11 +344,13 @@ def _scan(
     filt: EnumerationFilter,
     p: int,
     kinds: Sequence[ConditionKind],
-    first_row: int,
+    first_row: Optional[int] = None,
+    keys: Optional[int] = None,
 ) -> Tuple[int, Dict[object, int]]:
-    """Check the digraphs of the space that meet the condition kinds at p and
-    whose top-vertex row is first_row; returns (leaves visited, first mask
-    per key)."""
+    """Check, in ascending mask order, the digraphs of the space that meet
+    the condition kinds at p and whose top-vertex row is first_row (any row
+    when None); returns (leaves visited, first mask per key).  Given keys,
+    it stops once it has found that many keys."""
     checker = _CHECKERS[sweep]
     n = filt.n
     leaves = 0
@@ -359,6 +360,8 @@ def _scan(
         key = checker(n, p, mask, out, inc)
         if key is not None:
             found.setdefault(key, mask)
+            if len(found) == keys:
+                break
     return leaves, found
 
 
@@ -407,8 +410,8 @@ def _two_arc_matchings(
 
 
 def _violation(
-    sweep: str, filt: EnumerationFilter, p: int, workers: int,
-    progress: Optional[Callable[[int, int], None]],
+    sweep: str, filt: EnumerationFilter, p: int,
+    progress: Optional[Callable[[int, int], None]], workers: int = 1,
 ) -> Optional[Tuple[Digraph, str]]:
     """The least-mask digraph of the filter's space meeting C(p) and C'(p)
     that the sweep's checker flags, with its tag, or None.
@@ -430,17 +433,18 @@ def _violation(
     {0, 1} are {0} and {1}.)  The loops a -> a and b -> b occur in the
     props space only, and the acyclic space drops the 2-cycle a -> b, b -> a.
 
-    The Ferrers digraphs are checked once per level matrix, as the checkers
-    are isomorphism invariant, and each matching on its own, all in this
-    process; at p >= 4, one gated labeled scan split over workers."""
+    The checkers are isomorphism invariant, so each level matrix and each
+    matching is checked once, in this process, and the least mask is taken
+    over the relabelings of the flagged ones (a matching's relabelings are
+    matchings of the same space).  At p >= 4 one gated labeled scan is split
+    over workers."""
     n, checker = filt.n, _CHECKERS[sweep]
     if p <= 3:
-        matrices = level_matrices(n, filt.loopless or filt.acyclic, progress)
-        least = least_tagged_relabeling(n, matrices, partial(checker, n, p))
-        matchings = _two_arc_matchings(filt) if p == 3 else ()
-        tagged = [(mask, tag) for mask, out, inc in matchings
-                  for tag in (checker(n, p, mask, out, inc),) if tag is not None]
-        least = min(filter(None, [least, *tagged]), default=None)
+        candidates = itertools.chain(
+            level_matrices(n, filt.loopless or filt.acyclic, progress),
+            _two_arc_matchings(filt) if p == 3 else (),
+        )
+        least = least_tagged_relabeling(n, candidates, partial(checker, n, p))
     else:
         _, found = _run_scan(sweep, filt, p, _FOOT, workers, progress)
         least = next(((m, tag) for tag, m in found.items()), None)
@@ -464,7 +468,8 @@ def verify_theorem_loopless(
     construction works for every legal (r, q) with r + q = n.  At p = 2 the
     digraphs meeting both conditions are the interval orders, one per
     Fishburn matrix, and at p = 3 these plus the two-arc matchings
-    (_violation).  checked is 2^(n(n-1)).
+    (_violation); at p >= 4 the gated labeled scan is split over workers.
+    checked is 2^(n(n-1)).
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
@@ -472,7 +477,7 @@ def verify_theorem_loopless(
     filt = EnumerationFilter(n, loopless=True)
     from .witnesses import loopless_witness_failure
 
-    ce = _violation("core_shape", filt, p, workers, progress)
+    ce = _violation("core_shape", filt, p, progress, workers)
     return SweepOutcome(1 << n * (n - 1), ce or loopless_witness_failure(p, n))
 
 
@@ -491,13 +496,14 @@ def verify_theorem_acyclic(
     itself realizes its core padded that way, so it is not re-checked.  At
     p = 2 the DAGs meeting both conditions are the interval orders, one per
     Fishburn matrix, and at p = 3 these plus the acyclic two-arc matchings
-    (_violation).  checked is _dag_count(n).
+    (_violation); at p >= 4 workers splits the scan, as for loopless.
+    checked is _dag_count(n).
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     check_cap("acyclic", n)
     filt = EnumerationFilter(n, acyclic=True)
-    ce = _violation("core_shape", filt, p, workers, progress)
+    ce = _violation("core_shape", filt, p, progress, workers)
     return SweepOutcome(_dag_count(n), ce)
 
 
@@ -568,25 +574,18 @@ def _kr_iq_shapes(n: int, q_min: int) -> Dict[int, Tuple[int, int]]:
 
 
 def verify_theorem_main0(
-    n: int,
-    workers: int = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
+    n: int, progress: Optional[Callable[[int, int], None]] = None
 ) -> SweepOutcome:
     """CCE images of semiorders = CCE images of interval orders
-    = {K_r u I_q : r >= 2 implies q >= 2}, as isomorphism classes at size n.
-    The class sweep runs in this process: workers is taken for the common
-    verify signature and splits nothing."""
+    = {K_r u I_q : r >= 2 implies q >= 2}, as isomorphism classes at size n."""
     check_cap("order", n)
     return _family_sweep(n, True, _kr_iq_shapes(n, 2), progress)
 
 
 def verify_theorem_kr(
-    n: int,
-    workers: int = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
+    n: int, progress: Optional[Callable[[int, int], None]] = None
 ) -> SweepOutcome:
-    """Competition-graph analog: shapes K_r u I_q with r >= 2 implies q >= 1;
-    workers splits nothing, as for verify_theorem_main0."""
+    """Competition-graph analog: shapes K_r u I_q with r >= 2 implies q >= 1."""
     check_cap("order", n)
     return _family_sweep(n, False, _kr_iq_shapes(n, 1), progress)
 
@@ -626,9 +625,7 @@ def _row_lemma_failure(n: int, rows: Sequence[int]) -> Optional[str]:
 
 
 def verify_theorem_props(
-    n: int,
-    workers: int = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
+    n: int, progress: Optional[Callable[[int, int], None]] = None
 ) -> SweepOutcome:
     """Proposition bundle over all 2^(n^2) digraphs at one size.
 
@@ -641,9 +638,9 @@ def verify_theorem_props(
     the digraph whose out-rows are the failing preorder's down-set rows.
     The clique proposition holds vacuously off C(p) and C'(p), so at p = 2
     it is checked once per level matrix, and at p = 3 once per level matrix
-    and on each two-arc matching (_violation), all in this process: workers
-    splits nothing.  progress steps once per level count, counting on from
-    p = 2 to p = 3.  checked is 2^(n^2).
+    and on each two-arc matching (_violation), all in this process.
+    progress steps once per level count, counting on from p = 2 to p = 3.
+    checked is 2^(n^2).
     """
     check_cap("props", n)
     ce = None
@@ -658,7 +655,7 @@ def verify_theorem_props(
         step = progress and (
             lambda i, _, done=done * steps: progress(done + i, len(levels) * steps)
         )
-        ce = ce or _violation("clique", filt, p, workers, step)
+        ce = ce or _violation("clique", filt, p, step)
     return SweepOutcome(1 << n * n, ce)
 
 
@@ -704,15 +701,8 @@ def _ferrers_classes(sweep: str, n: int) -> Dict[int, int]:
     checker = _CHECKERS[sweep]
     classes = {checker(n, 2, rows_mask(n, out), out, inc)
                for _, out, inc in level_matrices(n, False)} - {None}
-    found: Dict[int, int] = {}
-    gate = _condition_gate(n, 2, (ConditionKind.C,))
-    for mask, out, inc in _digraph_rows(EnumerationFilter(n), gate=gate):
-        if len(found) == len(classes):
-            break
-        key = checker(n, 2, mask, out, inc)
-        if key is not None:
-            found.setdefault(key, mask)
-    return found
+    filt = EnumerationFilter(n)
+    return _scan(sweep, filt, 2, (ConditionKind.C,), keys=len(classes))[1]
 
 
 def explore_open_problem(

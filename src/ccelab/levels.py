@@ -134,18 +134,19 @@ def least_relabeled_mask(n: int, out: Sequence[int], ins: Sequence[int]) -> int:
 
 def least_tagged_relabeling(
     n: int,
-    matrices: Iterable[Tuple[int, List[int], List[int]]],
+    digraphs: Iterable[Tuple[int, List[int], List[int]]],
     tag_of: Callable[[int, List[int], List[int]], Optional[str]],
 ) -> Optional[Tuple[int, str]]:
-    """The least (least relabeled mask, tag) over the level matrices whose
-    representative tag_of(arc mask, out-rows, in-rows) tags, or None; the
-    relabelings are walked for the tagged matrices only.  When tag_of gives
-    every relabeling the same tag, the mask is the least tagged one among
-    the labeled digraphs the matrices stand for."""
+    """The least (least relabeled mask, tag) over the digraphs, given as
+    (anything, out-rows, in-rows) like level_matrices' items, that
+    tag_of(arc mask, out-rows, in-rows) tags, or None; the relabelings are
+    walked for the tagged digraphs only.  When tag_of gives every relabeling
+    the same tag, the mask is the least tagged one among the labeled
+    digraphs isomorphic to those given."""
     return min(
         (
             (least_relabeled_mask(n, out, inc), tag)
-            for _, out, inc in matrices
+            for _, out, inc in digraphs
             for tag in (tag_of(rows_mask(n, out), out, inc),)
             if tag is not None
         ),

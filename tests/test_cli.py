@@ -399,6 +399,17 @@ print(json.dumps([codes, sorted(set(json.loads(sys.argv[2])) & set(sys.modules))
 """
 
 
+def load_probe(workdir, commands, modules):
+    """[exit codes, the modules loaded] after running the commands in one
+    fresh process."""
+    r = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, json.dumps(commands), json.dumps(modules)],
+        capture_output=True, text=True, cwd=workdir,
+    )
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
 def test_commands_without_sweeps_load_neither_the_pool_nor_the_sweeps(workdir):
     commands = [
         ["dk", "--in", "k2.graph", "--kmax", "3"],
@@ -408,18 +419,30 @@ def test_commands_without_sweeps_load_neither_the_pool_nor_the_sweeps(workdir):
     ]
     heavy = ["concurrent.futures", "multiprocessing", "ccelab.enumeration",
              "ccelab.witnesses"]
-    r = subprocess.run(
-        [sys.executable, "-c", _LOAD_PROBE, json.dumps(commands), json.dumps(heavy)],
-        capture_output=True, text=True, cwd=workdir,
-    )
-    assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout) == [[0, 0, 0, 0], []]
+    assert load_probe(workdir, commands, heavy) == [[0, 0, 0, 0], []]
 
-    # the pool is still loaded where a sweep runs on workers
-    r = run_cli("verify", "--theorem", "loopless", "--n", "4", "--p", "3",
-                "--threads", "2", "--json")
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["checked"] == 4096
+    # only a labeled scan split over workers loads the pool: loopless at
+    # p >= 4, not main0 (which takes no worker count) nor loopless at p = 3
+    pool = ["concurrent.futures"]
+    for argv, loaded in (
+        (["verify", "--theorem", "loopless", "--n", "4", "--p", "4"], pool),
+        (["verify", "--theorem", "main0", "--n", "5"], []),
+        (["verify", "--theorem", "loopless", "--n", "4", "--p", "3"], []),
+    ):
+        command = argv + ["--threads", "2", "--json"]
+        assert load_probe(workdir, [command], pool) == [[0], loaded], argv
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--theorem", "main0", "--n", "3"],
+    ["explore", "--problem", "1", "--p", "2", "--n", "3"],
+    ["dk", "--in", "k2.graph", "--kmax", "3"],
+], ids=["verify", "explore", "dk"])
+def test_negative_thread_count_is_a_usage_error(workdir, args):
+    r = run_cli(*args, "--threads", "-3", "--json", cwd=workdir)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "--threads: must be 0 or more, got -3" in r.stderr
 
 
 def test_package_names_resolve_to_their_defining_objects():

@@ -458,23 +458,18 @@ def least_mask_per_class(n, masks, use_cce):
     return least
 
 
-def family_sweep(monkeypatch, n, use_cce, shapes, workers=1):
+def family_sweep(monkeypatch, n, use_cce, shapes):
     """The main0 (use_cce) or kr sweep against the given shape table."""
     monkeypatch.setattr(enumeration, "_kr_iq_shapes", lambda n, q_min: dict(shapes))
     verify = verify_theorem_main0 if use_cce else verify_theorem_kr
-    return verify(n, workers=workers)
+    return verify(n)
 
 
 @pytest.mark.parametrize("use_cce", [True, False])
 def test_family_sweep_witnesses_are_least_masks(use_cce, monkeypatch):
-    # each class keeps its least interval order, and its least semiorder,
-    # whatever the worker count
+    # each class keeps its least interval order, and its least semiorder
     def reported(n, shapes):
-        outcomes = {
-            family_sweep(monkeypatch, n, use_cce, shapes, workers) for workers in (1, 2)
-        }
-        assert len(outcomes) == 1
-        outcome = outcomes.pop()
+        outcome = family_sweep(monkeypatch, n, use_cce, shapes)
         assert outcome.checked == len(oracles.interval_mask_set(n))
         return outcome.counterexample
 
@@ -504,17 +499,15 @@ def test_family_sweep_reports_a_missing_shape_without_a_digraph(monkeypatch):
     for use_cce, q_min in ((True, 2), (False, 1)):
         shapes = _kr_iq_shapes(4, q_min)
         shapes[canonical_form(complete_plus_isolated(4, 0))] = (4, 0)
-        for workers in (1, 2):
-            outcome = family_sweep(monkeypatch, 4, use_cce, shapes, workers)
-            assert outcome == SweepOutcome(207, missing_shape=(4, 0, "interval order"))
-            assert not outcome.verified
+        outcome = family_sweep(monkeypatch, 4, use_cce, shapes)
+        assert outcome == SweepOutcome(207, missing_shape=(4, 0, "interval order"))
+        assert not outcome.verified
 
     # a shape some interval order realizes but no semiorder does
     monkeypatch.setattr(enumeration, "semiorder_feasible_masks", lambda n, out: False)
-    for workers in (1, 2):
-        outcome = family_sweep(monkeypatch, 4, True, _kr_iq_shapes(4, 2), workers)
-        assert outcome == SweepOutcome(207, missing_shape=(0, 4, "semiorder"))
-        assert not outcome.verified
+    outcome = family_sweep(monkeypatch, 4, True, _kr_iq_shapes(4, 2))
+    assert outcome == SweepOutcome(207, missing_shape=(0, 4, "semiorder"))
+    assert not outcome.verified
 
 
 def semiorder_tests_expected(n, use_cce):
@@ -658,15 +651,16 @@ def test_sweeps_deterministic_across_worker_counts():
         (problem, p): explore_open_problem(problem, p, 4)
         for problem in (1, 2, 3) for p in (2, 3)
     }
+    # main0, kr and props take no worker count: one run each
+    assert verify_theorem_props(4) == SweepOutcome(2**16)
+    assert verify_theorem_main0(5) == SweepOutcome(3451)
+    assert verify_theorem_kr(5) == SweepOutcome(3451)
     for workers in (1, 2, 3):
         for p in (2, 3):
             outcome = verify_theorem_loopless(p, 5, workers=workers)
             assert outcome == SweepOutcome(2**20)
             outcome = verify_theorem_acyclic(p, 5, workers=workers)
             assert outcome == SweepOutcome(DAG_COUNTS[5])
-        assert verify_theorem_props(4, workers=workers) == SweepOutcome(2**16)
-        assert verify_theorem_main0(5, workers=workers) == SweepOutcome(3451)
-        assert verify_theorem_kr(5, workers=workers) == SweepOutcome(3451)
         for (problem, p), report in explored.items():
             assert explore_open_problem(problem, p, 4, workers=workers) == report
             assert report.checked == 2**16
@@ -757,7 +751,7 @@ def test_props_counterexample_is_least_mask(monkeypatch):
 
         monkeypatch.setitem(_CHECKERS, "clique", flag_at_level)
         for n in sizes:
-            outcome = verify_theorem_props(n, workers=1)
+            outcome = verify_theorem_props(n)
             least = next(m for m in range(1 << (n * n)) if flagged(n, level, m))
             assert outcome.checked == 1 << (n * n)
             assert outcome.counterexample == (
@@ -907,7 +901,7 @@ def test_p2_and_p3_sweeps_never_run_the_labeled_scan(monkeypatch):
                 assert verify_theorem_acyclic(p, n, workers) == SweepOutcome(_dag_count(n))
     # nor does props, whose clique check runs at p = 2 and 3 only
     for n in range(5):
-        assert verify_theorem_props(n, workers=2) == SweepOutcome(1 << n * n)
+        assert verify_theorem_props(n) == SweepOutcome(1 << n * n)
 
 
 def test_p4_sweeps_run_the_labeled_scan(monkeypatch):
@@ -945,7 +939,7 @@ def test_props_row_lemma_failure_reports_the_least_failing_preorder(monkeypatch)
 
     monkeypatch.setattr(enumeration, "_row_lemma_failure", two_arcs_off_the_diagonal)
     for n in (2, 3, 4):
-        outcome = verify_theorem_props(n, workers=1)
+        outcome = verify_theorem_props(n)
         least = next(
             m for m in range(1 << (n * n))
             if oracles.is_preorder_mask(n, m) and bin(m).count("1") >= n + 2
