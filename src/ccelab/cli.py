@@ -38,13 +38,14 @@ from .graphs import (
     decompose_kr_iq,
     niche_graph,
 )
-from .orders import recognize_interval_order, recognize_semiorder
 
-# Only verify, explore and witness need these, so they are imported from the
-# package on first access.  Handlers call them as attributes of this module,
-# at call time, so that a caller may replace them here.
+# Only verify, explore, witness and recognize need these, so they are imported
+# from the package on first access.  Handlers call them as attributes of this
+# module, at call time, so that a caller may replace them here.
 _DEFERRED = frozenset({
     "explore_open_problem",
+    "recognize_interval_order",
+    "recognize_semiorder",
     "verify_theorem_acyclic",
     "verify_theorem_kr",
     "verify_theorem_loopless",
@@ -146,10 +147,10 @@ def _cmd_check(args) -> int:
 def _cmd_recognize(args) -> int:
     d = parse_digraph(_read(args.infile))
     if args.model == "semiorder":
-        rep = recognize_semiorder(d)
+        rep = _cli.recognize_semiorder(d)
         to_json, serialize = semiorder_to_json, serialize_semiorder
     else:
-        rep = recognize_interval_order(d)
+        rep = _cli.recognize_interval_order(d)
         to_json, serialize = intervals_to_json, serialize_intervals
     if rep is None:
         _emit(args, {"model": args.model, "present": False},

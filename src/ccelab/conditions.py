@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .digraph import Digraph
 
@@ -46,8 +45,7 @@ class ConditionKind(enum.Enum):
         return self in (ConditionKind.C_STAR, ConditionKind.C_STAR_PRIME)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Verdict for one condition kind at one level p.
 
     violating_set is present exactly when satisfied is False; it is the

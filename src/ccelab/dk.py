@@ -32,16 +32,14 @@ Pruning (all exact, no completeness loss):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .caps import check_cap
 from .digraph import Digraph, ancestors, bits_of, submasks
 from .graphs import SimpleGraph, cce_adj, isolated_vertices
 
 
-@dataclass(frozen=True)
-class DkResult:
+class DkResult(NamedTuple):
     """Minimal padding k plus an acyclic witness realizing G u I_k."""
 
     k: int

@@ -32,9 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import ExitStack
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .caps import check_cap
 from .conditions import ConditionKind, first_empty_foot, first_empty_head
@@ -56,8 +55,7 @@ from .levels import least_tagged_relabeling, level_counts, level_matrices, rows_
 from .orders import cuts_intransitive, interval_feasible_masks, semiorder_feasible_masks
 
 
-@dataclass(frozen=True)
-class EnumerationFilter:
+class EnumerationFilter(NamedTuple):
     """Which labeled digraphs on n vertices to generate."""
 
     n: int
@@ -65,8 +63,7 @@ class EnumerationFilter:
     acyclic: bool = False
 
 
-@dataclass(frozen=True)
-class SweepOutcome:
+class SweepOutcome(NamedTuple):
     """Result of one verification sweep.
 
     checked is the size of the swept space, in closed form: 2^(n(n-1))
@@ -662,8 +659,7 @@ def verify_theorem_props(
 # -- open-problem exploration ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExploreClass:
+class ExploreClass(NamedTuple):
     """One isomorphism class found by an exploration sweep."""
 
     canonical: int
@@ -671,15 +667,14 @@ class ExploreClass:
     witness: Digraph
 
 
-@dataclass(frozen=True)
-class ExploreReport:
+class ExploreReport(NamedTuple):
     """Isomorphism classes (with least-mask witnesses) per section."""
 
     problem: int
     p: int
     n: int
     checked: int
-    sections: Dict[str, Tuple[ExploreClass, ...]] = field(default_factory=dict)
+    sections: Dict[str, Tuple[ExploreClass, ...]]
 
 
 # problem -> section -> (the condition kinds the section's digraphs meet at

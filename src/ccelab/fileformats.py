@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .digraph import Digraph
 from .graphs import SimpleGraph, isolated_vertices
-from .orders import IntervalRep, SemiorderRep
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .orders import IntervalRep, SemiorderRep
 
 
 class ParseError(Exception):
@@ -65,6 +68,8 @@ def _parse_header(lines, keyword: str):
 
 
 def _parse_value(token: str, lineno: int, line: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -74,6 +79,8 @@ def _parse_value(token: str, lineno: int, line: str) -> Fraction:
 
 
 def format_value(v) -> str:
+    from fractions import Fraction
+
     fr = Fraction(v)
     if fr.denominator == 1:
         return str(fr.numerator)
@@ -170,6 +177,8 @@ def serialize_graph(g: SimpleGraph) -> str:
 
 
 def parse_semiorder(text: str) -> SemiorderRep:
+    from .orders import SemiorderRep
+
     lines = _content_lines(text)
     n, extra, lineno, hline = _parse_header(lines, "semiorder")
     if len(extra) != 1 or not extra[0].startswith("delta="):
@@ -191,6 +200,8 @@ def serialize_semiorder(rep: SemiorderRep) -> str:
 
 
 def parse_intervals(text: str) -> IntervalRep:
+    from .orders import IntervalRep
+
     lines = _content_lines(text)
     n = _parse_plain_header(lines, "intervals")
     spans = _parse_vertex_values(

@@ -10,8 +10,7 @@ and its derived graph can be cross-referenced index by index.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .digraph import Digraph, bits_of
 
@@ -172,8 +171,7 @@ def core_clique(adj: Sequence[int]) -> Tuple[int, bool]:
     return len(core), all(adj[v] == core_mask ^ (1 << v) for v in core)
 
 
-@dataclass(frozen=True)
-class KrIqShape:
+class KrIqShape(NamedTuple):
     """A complete graph on r vertices plus q isolated vertices (r != 1)."""
 
     r: int

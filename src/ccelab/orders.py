@@ -25,24 +25,23 @@ endpoints) and both regenerate the input arc set exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Real
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .digraph import Digraph
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from numbers import Real
 
-@dataclass(frozen=True)
-class SemiorderRep:
+
+class SemiorderRep(NamedTuple):
     """Vertex valuation plus positive threshold."""
 
     f: Tuple[Real, ...]
     delta: Real
 
 
-@dataclass(frozen=True)
-class IntervalRep:
+class IntervalRep(NamedTuple):
     """Closed interval [lo, hi] per vertex, lo <= hi."""
 
     intervals: Tuple[Tuple[Real, Real], ...]
@@ -151,6 +150,8 @@ def semiorder_feasible_masks(n: int, out: Sequence[int]) -> bool:
 
 def recognize_semiorder(d: Digraph) -> Optional[SemiorderRep]:
     """A representation regenerating d exactly, or None if none exists."""
+    from fractions import Fraction
+
     n = d.n
     if n == 0:
         return SemiorderRep((), Fraction(1))

@@ -359,7 +359,7 @@ def test_handlers_call_the_module_attributes(workdir, monkeypatch, capsys):
     from ccelab import ExploreReport, cli
 
     def explore(problem, p, n, workers):
-        return ExploreReport(problem, p, n, checked=7)
+        return ExploreReport(problem, p, n, checked=7, sections={})
 
     monkeypatch.setattr(cli, "explore_open_problem", explore)
     assert cli.main(["explore", "--problem", "1", "--p", "2", "--n", "3", "--json"]) == 0
@@ -417,9 +417,19 @@ def test_commands_without_sweeps_load_neither_the_pool_nor_the_sweeps(workdir):
         ["derive", "--kind", "cce", "--in", "square.digraph", "--out", "sq.graph"],
         ["--help"],
     ]
+    # nor dataclasses (which loads inspect), fractions (which loads decimal)
+    # or the orders
     heavy = ["concurrent.futures", "multiprocessing", "ccelab.enumeration",
-             "ccelab.witnesses"]
+             "ccelab.witnesses", "dataclasses", "inspect", "fractions", "decimal",
+             "ccelab.orders"]
     assert load_probe(workdir, commands, heavy) == [[0, 0, 0, 0], []]
+
+    # a sweep loads the orders but builds no dataclass and no Fraction
+    verify = ["verify", "--theorem", "acyclic", "--n", "4", "--p", "2"]
+    assert load_probe(workdir, [verify], ["dataclasses", "fractions"]) == [[0], []]
+    # recognize finds the recognizers it defers
+    recognize = ["recognize", "--model", "semiorder", "--in", "chain.digraph"]
+    assert load_probe(workdir, [recognize], ["ccelab.orders"]) == [[0], ["ccelab.orders"]]
 
     # only a labeled scan split over workers loads the pool: loopless at
     # p >= 4, not main0 (which takes no worker count) nor loopless at p = 3
