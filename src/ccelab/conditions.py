@@ -7,7 +7,8 @@ corresponding set is non-empty for every p-subset of vertices.
 
 The containment tests collapse to one equality each: x is a foot of S iff
 its neighborhood equals the intersection of the members' neighborhoods, and
-a head iff it equals the union.
+a head iff it equals the union.  Whether some p-set has no foot or head is
+decided without listing the p-sets, by the peel lemma (peel_left).
 """
 
 from __future__ import annotations
@@ -108,36 +109,34 @@ def head_set_minus(d: Digraph, vertices: Iterable[int]) -> FrozenSet[int]:
     return _kind_set(ConditionKind.C_STAR_PRIME, d, vertices)
 
 
-def first_empty_foot(
-    masks: Sequence[int], subsets: Iterable[Sequence[int]]
-) -> Optional[Sequence[int]]:
-    """First of the given subsets whose foot set is empty, or None."""
-    for subset in subsets:
-        inter = masks[subset[0]]
-        for v in subset[1:]:
-            inter &= masks[v]
-        for x in subset:
-            if masks[x] == inter:
-                break
-        else:
-            return subset
-    return None
+def peel_left(rows: Iterable[int], head: bool = False) -> int:
+    """How many rows are left after peeling: repeatedly remove a row
+    contained in every remaining row (with head, one containing every
+    remaining row).  The rows meet C(p) (C*(p) with head) iff fewer than p
+    are left, for every p >= 2: the peel lemma.
 
+    Proof.  Take a p-set S of rows.  If fewer than p rows are left, a member
+    of S was peeled; the first one peeled lies in every member of S, all
+    still there, so it is a foot.  If at least p are left, no left row lies
+    in every left row.  Take a minimal left row a, a left row b with a not
+    in b, and a minimal left row b' inside b.  Then a and b' are
+    incomparable: a not in b' as b' is in b, and b' in a would make b' = a
+    by a's minimality.  A p-set of left rows holding a and b' has no foot:
+    a foot lies in a, so equals a, yet it lies in b'.  Heads are the dual
+    case, with containment reversed.
 
-def first_empty_head(
-    masks: Sequence[int], subsets: Iterable[Sequence[int]]
-) -> Optional[Sequence[int]]:
-    """First of the given subsets whose head set is empty, or None."""
-    for subset in subsets:
-        union = 0
-        for v in subset:
-            union |= masks[v]
-        for x in subset:
-            if masks[x] == union:
-                break
-        else:
-            return subset
-    return None
+    A row inside every remaining row is numerically their least, so the
+    peel takes the rows in ascending order (descending for heads) and stops
+    at the first row that is not the meet (join) of itself and the rows
+    after it.  The loop walks that order backwards, so seen counts the rows
+    from the one at hand to the end.
+    """
+    left, bound = 0, 0 if head else -1
+    for seen, row in enumerate(sorted(rows, reverse=not head), 1):
+        bound = bound | row if head else bound & row
+        if row != bound:
+            left = seen
+    return left
 
 
 def condition_violation(
@@ -145,12 +144,14 @@ def condition_violation(
 ) -> Optional[Tuple[int, ...]]:
     """First p-subset (lexicographic) whose foot/head set is empty, or None.
 
-    `masks` is the out- or in-neighborhood table.  The enumeration sweeps
-    call first_empty_foot / first_empty_head directly with their subsets
-    computed once per sweep.
+    `masks` is the out- or in-neighborhood table.  The sweeps ask only
+    whether such a p-set exists, and use peel_left for that.
     """
-    first_empty = first_empty_head if use_head else first_empty_foot
-    return first_empty(masks, itertools.combinations(range(n), p))
+    pick = _head_members if use_head else _foot_members
+    for subset in itertools.combinations(range(n), p):
+        if not pick(masks, subset):
+            return subset
+    return None
 
 
 def satisfies_condition(d: Digraph, kind: ConditionKind, p: int) -> ConditionReport:

@@ -6,12 +6,13 @@ _digraph_rows, yields (mask, out-rows, in-rows) for each of the three spaces
 an EnumerationFilter selects (all digraphs, loopless, acyclic) by assigning
 out-rows from the top vertex down, so every space comes out in ascending
 mask order.  The loopless and acyclic sweeps at p >= 4 and the explore
-surveys at p >= 3 run it through a condition gate in one chunk per
-top-vertex row, taken in mask order (_run_scan); only these take a worker
-count.  The props row lemmas run once per labeled preorder (_preorder_rows).
-These sweeps never stop early, and the first hit of a sweep (its first
-counterexample, each class's first witness) is the least-mask one, so the
-outcome is identical for any worker count.
+surveys at p >= 3 run it through a condition gate, which cuts a branch once
+its assigned rows fail a condition by the peel lemma (conditions.peel_left),
+in one chunk per top-vertex row, taken in mask order (_run_scan); only these
+take a worker count.  The props row lemmas run once per labeled preorder
+(_preorder_rows).  These sweeps never stop early, and the first hit of a
+sweep (its first counterexample, each class's first witness) is the
+least-mask one, so the outcome is identical for any worker count.
 
 Unlabeled enumeration: at p = 2 each condition says the rows are nested, so
 every p = 2 sweep (loopless, acyclic and main0/kr over the interval orders,
@@ -36,7 +37,7 @@ from functools import lru_cache, partial
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .caps import check_cap
-from .conditions import ConditionKind, first_empty_foot, first_empty_head
+from .conditions import ConditionKind, peel_left
 from .digraph import Digraph, ancestors, submasks
 from .graphs import (
     SimpleGraph,
@@ -155,53 +156,32 @@ def _first_rows(filt: EnumerationFilter) -> Iterator[int]:
 _FOOT = (ConditionKind.C, ConditionKind.C_PRIME)
 
 
-@lru_cache(maxsize=None)
-def _gate_tables(n: int, p: int) -> Tuple[tuple, tuple]:
-    """The p-sets a _condition_gate tests on n vertices at level p:
-    (closing[v] on the out-rows, touched[row] on the in-rows)."""
-    subsets = tuple(itertools.combinations(range(n), p))
-    # the p-sets whose out-rows vertex v's row completes: rows are assigned
-    # from the top vertex down, so those whose lowest member is v
-    closing = tuple(tuple(s for s in subsets if s[0] == v) for v in range(n))
-    # Vertex v's row adds v to its members' in-rows only.  A p-set outside
-    # the row keeps its parent's verdict, and one inside it gains v in every
-    # member, which changes no containment; so past a parent that passed,
-    # only the p-sets the row splits need a test.
-    touched = tuple(
-        tuple(s for s in subsets if 0 < sum(row >> x & 1 for x in s) < p)
-        for row in range(1 << n)
-    )
-    return closing, touched
-
-
 def _condition_gate(
     n: int, p: int, kinds: Sequence[ConditionKind]
 ) -> Callable[[int, Sequence[int], Sequence[int]], bool]:
     """The _digraph_rows gate cuts(v, out, ins) of a condition sweep: True
-    iff, on the rows assigned down to v, some p-set has an empty foot or
-    head set, as the condition kinds ask (at most one kind on the out-rows
-    and one on the in-rows).
+    iff the rows assigned down to v fail a condition of the kinds at p (at
+    most one kind on the out-rows and one on the in-rows), by peel_left.
 
-    A cut is final.  The out-rows of a p-set among the assigned vertices are
-    final.  On the in-rows, a member x is not a foot (head) of S through an
-    assigned source u in in(x) minus in(y) (in(y) minus in(x)) for some y
-    in S, and later rows leave u in place.  So every digraph below a cut
-    fails a condition of the kinds, and every leaf still yielded meets all.
+    A cut is final.  The assigned out-rows are final, and each condition is
+    hereditary: a p-set of the assigned vertices is a p-set of every leaf
+    below.  ins holds each in-row restricted to the assigned sources.  If x
+    is not a foot of S there because some y in S has a source u in in(x)
+    minus in(y), later rows leave u in place, so x never becomes a foot of
+    S; heads are the dual case, with u in in(y) minus in(x).  So every
+    digraph below a cut fails a condition of the kinds, and every leaf still
+    yielded meets all.  A branch reaches v only past gates that passed, so
+    this gate cuts exactly where a test of only the p-sets that v's row
+    completes or changes would: the same leaves in the same order.
     """
-    # whether a kind reads the in-rows -> its test; a side without a kind
-    # never cuts
-    tests = {
-        k.uses_in_masks: first_empty_head if k.uses_head else first_empty_foot
-        for k in kinds
-    }
-    never = lambda masks, subsets: None
-    out_empty, in_empty = tests.get(False, never), tests.get(True, never)
-    closing, touched = _gate_tables(n, p)
+    # whether a kind reads the in-rows -> whether it asks for heads
+    sides = {k.uses_in_masks: k.uses_head for k in kinds}
+    out_head, in_head = sides.get(False), sides.get(True)
 
     def cuts(v: int, out: Sequence[int], ins: Sequence[int]) -> bool:
         return (
-            out_empty(out, closing[v]) is not None
-            or in_empty(ins, touched[out[v]]) is not None
+            out_head is not None and peel_left(out[v:], out_head) >= p
+            or in_head is not None and peel_left(ins, in_head) >= p
         )
 
     return cuts

@@ -7,11 +7,9 @@ a = r and b = r+1, then any remaining isolated vertices.
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from typing import Optional, Tuple
 
-from .conditions import first_empty_foot
+from .conditions import peel_left
 from .digraph import Digraph
 from .graphs import cce_graph, decompose_kr_iq
 from .orders import SemiorderRep
@@ -40,14 +38,13 @@ def loopless_witness_failure(p: int, n: int) -> Optional[Tuple[Digraph, str]]:
     """The first witness_loopless(r, n - r), p <= r <= n - 2, whose CCE
     graph is not K_r u I_(n-r) or which fails a foot condition at p, with a
     tag, or None: the if direction of the loopless characterization."""
-    subsets = tuple(itertools.combinations(range(n), p))
     for r in range(p, n - 1):
         q = n - r
         w = witness_loopless(r, q)
         shape = decompose_kr_iq(cce_graph(w))
         if shape is None or (shape.r, shape.q) != (r, q):
             return (w, f"witness CCE graph is not K_{r} u I_{q}")
-        if any(first_empty_foot(rows, subsets) for rows in (w.out_masks, w.in_masks)):
+        if any(peel_left(rows) >= p for rows in (w.out_masks, w.in_masks)):
             return (w, f"witness violates a foot condition at p={p}")
     return None
 
@@ -59,6 +56,8 @@ def witness_semiorder(r: int, q: int) -> SemiorderRep:
     r >= 2, q >= 2: clique vertices get 0, the designated isolated vertex
     a = r gets 2, the remaining isolated vertices get -2; threshold 1.
     """
+    from fractions import Fraction
+
     if r == 0:
         return SemiorderRep((Fraction(0),) * q, Fraction(1))
     if r < 2 or q < 2:

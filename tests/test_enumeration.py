@@ -24,7 +24,7 @@ from ccelab import (
 )
 from ccelab import dk, enumeration
 from ccelab.caps import CAP_ENV_VAR, check_cap
-from ccelab.conditions import ConditionKind, first_empty_foot, first_empty_head
+from ccelab.conditions import ConditionKind, peel_left
 from ccelab.enumeration import (
     _CHECKERS,
     _condition_gate,
@@ -157,7 +157,7 @@ def test_gated_rows_are_exactly_the_digraphs_meeting_the_condition_pair():
             filt = EnumerationFilter(n, *flags)
             space = [mask for mask, _, _ in _digraph_rows(filt)]
             assert len(space) == size(n)
-            for p in (2, 3):
+            for p in (2, 3, 4):
                 for kinds in GATE_KINDS:
                     gate = _condition_gate(n, p, kinds)
                     leaves = []
@@ -302,23 +302,23 @@ def test_negative_vertex_count_is_refused(call):
 
 
 def test_sweep_inline_condition_check_matches_api():
+    # the peel lemma, as the sweeps' gates and the loopless witness check
+    # use it: every row tuple on n <= 3 (each is some digraph's out-rows and
+    # another's in-rows), and random digraphs on 4 and 5 vertices
     rng = random.Random(17)
+    digraphs = [Digraph.from_arc_mask(n, m) for n in range(4) for m in range(1 << n * n)]
     for _ in range(400):
-        n = rng.randint(2, 5)
-        d = Digraph.from_arc_mask(n, rng.getrandbits(n * n))
-        for p in (2, 3):
-            if p > n:
-                continue
-            subsets = tuple(itertools.combinations(range(n), p))
-            for kind, masks, first_empty in (
-                ("C", d.out_masks, first_empty_foot),
-                ("Cp", d.in_masks, first_empty_foot),
-                ("Cs", d.out_masks, first_empty_head),
-                ("Csp", d.in_masks, first_empty_head),
+        n = rng.randint(4, 5)
+        digraphs.append(Digraph.from_arc_mask(n, rng.getrandbits(n * n)))
+    for d in digraphs:
+        for p in range(2, d.n + 1):
+            for kind, rows, head in (
+                ("C", d.out_masks, False),
+                ("Cp", d.in_masks, False),
+                ("Cs", d.out_masks, True),
+                ("Csp", d.in_masks, True),
             ):
-                assert (first_empty(masks, subsets) is None) == (
-                    oracles.condition_oracle(d, kind, p)
-                )
+                assert (peel_left(rows, head) < p) == oracles.condition_oracle(d, kind, p)
 
 
 INTERVAL_ORDER_COUNTS = [1, 1, 3, 19, 207, 3451, 81663, 2602699, 107477247]   # A079144
