@@ -26,9 +26,10 @@ DEFAULT_CAPS = {
     # n = 7 in under 0.2 s; at p >= 4 the gated DAG scan, n = 7 at p = 4 in
     # ~117 s on 2 workers
     "acyclic": 7,
-    # the proposition bundle over all 2^(n^2) digraphs, in one process: n = 5
-    # takes ~1 s, most of it the row lemmas over 6,942 preorders
-    "props": 5,
+    # the props clique check over all 2^(n^2) digraphs, in one process: one
+    # representative per level matrix plus the two-arc matchings; n = 6 takes
+    # ~1.5-1.7 s, n = 7 ~19-22 s on one core
+    "props": 7,
     # explore: at n = 5 and p = 3 problem 3 takes ~31 s on one core and ~19 s
     # on 2 workers; at p = 2 each problem takes under 0.5 s at n = 5, but
     # problem 2's witness scan ~32 s at n = 6

@@ -9,9 +9,8 @@ mask order.  The loopless and acyclic sweeps at p >= 4 and the explore
 surveys at p >= 3 run it through a condition gate, which cuts a branch once
 its assigned rows fail a condition by the peel lemma (conditions.peel_left),
 in one chunk per top-vertex row, taken in mask order (_run_scan); only these
-take a worker count.  The props row lemmas run once per labeled preorder
-(_preorder_rows).  These sweeps never stop early, and the first hit of a
-sweep (its first counterexample, each class's first witness) is the
+take a worker count.  These sweeps never stop early, and the first hit of
+a sweep (its first counterexample, each class's first witness) is the
 least-mask one, so the outcome is identical for any worker count.
 
 Unlabeled enumeration: at p = 2 each condition says the rows are nested, so
@@ -53,7 +52,7 @@ from .graphs import (
 from .levels import least_tagged_relabeling, level_counts, level_matrices, rows_mask
 # interval_feasible_masks serves no sweep: bench/tracer.py wraps it under this
 # module until ROADMAP item 3's benchmark change drops the hook
-from .orders import cuts_intransitive, interval_feasible_masks, semiorder_feasible_masks
+from .orders import interval_feasible_masks, semiorder_feasible_masks
 
 
 class EnumerationFilter(NamedTuple):
@@ -157,7 +156,7 @@ _FOOT = (ConditionKind.C, ConditionKind.C_PRIME)
 
 
 def _condition_gate(
-    n: int, p: int, kinds: Sequence[ConditionKind]
+    p: int, kinds: Sequence[ConditionKind]
 ) -> Callable[[int, Sequence[int], Sequence[int]], bool]:
     """The _digraph_rows gate cuts(v, out, ins) of a condition sweep: True
     iff the rows assigned down to v fail a condition of the kinds at p (at
@@ -332,7 +331,7 @@ def _scan(
     n = filt.n
     leaves = 0
     found: Dict[object, int] = {}
-    for mask, out, inc in _digraph_rows(filt, first_row, _condition_gate(n, p, kinds)):
+    for mask, out, inc in _digraph_rows(filt, first_row, _condition_gate(p, kinds)):
         leaves += 1
         key = checker(n, p, mask, out, inc)
         if key is not None:
@@ -567,52 +566,23 @@ def verify_theorem_kr(
     return _family_sweep(n, False, _kr_iq_shapes(n, 1), progress)
 
 
-def _preorder_rows(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """Every labeled preorder on n as (arc mask, down-set rows): the
-    loopless rows of _digraph_rows that are transitive with x added to
-    row[x], so the masks ascend (OEIS A000798: 1, 4, 29, 355, 6942)."""
-    diagonal = sum(1 << x * (n + 1) for x in range(n))
-    filt = EnumerationFilter(n, loopless=True)
-    for mask, out, _ in _digraph_rows(filt, gate=cuts_intransitive):
-        yield mask | diagonal, tuple(row | 1 << x for x, row in enumerate(out))
-
-
-def _row_lemma_failure(n: int, rows: Sequence[int]) -> Optional[str]:
-    """The tag of the first row lemma the rows break, or None: foot-condition
-    monotonicity in p, then the foot-set union lemma over all (T, U) pairs.
-    The foot condition fails at q exactly when some q-set has no foot."""
-    full = 1 << n
-    inter, feet = [-1] * full, [0] * full   # per set: AND of its rows, its feet
-    for s in range(1, full):
-        low = s & -s
-        inter[s] = meet = inter[s ^ low] & rows[low.bit_length() - 1]
-        feet[s] = sum(1 << x for x in range(n) if s >> x & 1 and rows[x] == meet)
-    footless = {bin(s).count("1") for s in range(1, full) if not feet[s]}
-    for q in range(3, n + 1):
-        if q in footless and q - 1 not in footless:
-            return f"foot condition held at {q - 1} but not at {q}"
-    for t in range(1, full):
-        ft = feet[t]
-        if not ft:
-            continue
-        for u in range(1, full):
-            if ft & u and feet[u] & ~feet[t | u]:
-                return f"foot-set union lemma fails at T={t:#x}, U={u:#x}"
-    return None
-
-
 def verify_theorem_props(
     n: int, progress: Optional[Callable[[int, int], None]] = None
 ) -> SweepOutcome:
-    """Proposition bundle over all 2^(n^2) digraphs at one size.
+    """Proposition bundle over all 2^(n^2) digraphs at one size: the clique
+    proposition at p in {2, 3}, the one part of the bundle that reads a
+    whole digraph.
 
-    Checks monotonicity of both foot conditions in p, the foot-set union
-    lemma over every (T, U) pair, and the clique proposition at p in {2, 3}.
-    x is a foot of S iff row(x) lies in row(y) for every y in S, so the
-    lemmas read out-rows and in-rows only through their containment
-    preorder.  Every row tuple is a digraph's out-rows and another's
-    in-rows, so they run once per labeled preorder, and a failure reports
-    the digraph whose out-rows are the failing preorder's down-set rows.
+    The bundle's two row lemmas hold for any tuple of rows, so they are
+    proved here and checked against brute force by the test suite, not
+    swept.  Monotonicity in p: rows meet C(q) iff peel_left leaves fewer
+    than q rows (the peel lemma, proved in conditions.peel_left), and fewer
+    than q - 1 is fewer than q, so C(q - 1) implies C(q); likewise C'(q) on
+    the in-rows.  Foot-set union lemma: let a be a foot of T that lies in U,
+    and b a foot of U.  Then row(b) lies in row(a), as a is in U, and
+    row(a) in every row of T, so row(b) lies in every row of T u U, and b
+    is a foot of T u U.
+
     The clique proposition holds vacuously off C(p) and C'(p), so at p = 2
     it is checked once per level matrix, and at p = 3 once per level matrix
     and on each two-arc matching (_violation), all in this process.
@@ -621,11 +591,6 @@ def verify_theorem_props(
     """
     check_cap("props", n)
     ce = None
-    for mask, rows in _preorder_rows(n):
-        tag = _row_lemma_failure(n, rows)
-        if tag is not None:
-            ce = (Digraph.from_arc_mask(n, mask), tag)
-            break
     filt, levels = EnumerationFilter(n), range(2, min(n, 3) + 1)
     steps = len(level_counts(n, False))
     for done, p in enumerate(levels):

@@ -77,27 +77,6 @@ def interval_order_from(rep: IntervalRep) -> Digraph:
     return Digraph(n, arcs)
 
 
-# -- transitivity ---------------------------------------------------------------
-#
-# Any representable digraph (either model) is loopless, has no 2-cycles and is
-# transitive; all three follow from chaining the defining inequalities, and
-# the recognizers below reject them through their full checks.
-
-
-def cuts_intransitive(v: int, out: Sequence[int], ins: Sequence[int]) -> bool:
-    """True iff v's row breaks transitivity against a higher vertex's row,
-    x added to each row[x].  Its one user is _preorder_rows, where it is the
-    _digraph_rows gate (ins unused): it cuts a branch once the rows assigned
-    so far break transitivity, and they are final, so every leaf left is
-    transitive with the diagonal added."""
-    down = out[v] | 1 << v
-    for x in range(v + 1, len(out)):
-        row = out[x] | 1 << x
-        if (down >> x & 1 and row & ~down) or (row >> v & 1 and down & ~row):
-            return True
-    return False
-
-
 # -- semiorder recognition -----------------------------------------------------
 
 

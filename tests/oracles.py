@@ -205,14 +205,6 @@ def containment_preorder(n: int, mask: int) -> Tuple[int, ...]:
     return tuple(sum(1 << x for x in range(n) if outs[x] <= outs[y]) for y in range(n))
 
 
-def is_preorder_mask(n: int, mask: int) -> bool:
-    """True iff the arc set is reflexive and transitive, over all arc pairs."""
-    arcs = set(Digraph.from_arc_mask(n, mask).arcs)
-    return all((x, x) in arcs for x in range(n)) and all(
-        (a, c) in arcs for a, b in arcs for b2, c in arcs if b == b2
-    )
-
-
 # -- naive double-competition-number oracle ----------------------------------------
 
 

@@ -6,6 +6,7 @@ trivially forced, frozen from an independent oracle in this suite, or a
 verifier outcome cross-checked against those oracles.
 """
 
+import itertools
 import json
 import random
 import subprocess
@@ -35,7 +36,6 @@ from ccelab import (
     verify_theorem_kr,
     verify_theorem_loopless,
     verify_theorem_main0,
-    verify_theorem_props,
     witness_loopless,
 )
 from ccelab.conditions import condition_violation
@@ -150,11 +150,42 @@ def test_criterion_4_acyclic_theorem():
         assert time.time() - start < 300
 
 
+LABELED_PREORDERS = (1, 1, 4, 29, 355)                  # OEIS A000798, n <= 4
+
+
+def _feet(below, members):
+    """The feet of a vertex set: its members x with below(x, y), x's row
+    inside y's, for every member y."""
+    return {x for x in members if all(below(x, y) for y in members)}
+
+
+def _assert_row_lemmas(n, below):
+    """Monotonicity of the foot condition in p, and the foot-set union
+    lemma over every (T, U) pair, for rows compared by below."""
+    sets = [
+        frozenset(s) for k in range(1, n + 1) for s in itertools.combinations(range(n), k)
+    ]
+    feet = {s: _feet(below, s) for s in sets}
+    # the condition fails at q iff some q-set has no foot; C(q-1) => C(q)
+    footless = {len(s) for s in sets if not feet[s]}
+    for q in range(3, n + 1):
+        assert q not in footless or q - 1 in footless, (n, q)
+    for t in sets:
+        for u in sets:
+            if feet[t] & u:
+                assert feet[u] <= feet[t | u], (n, t, u)
+
+
 def test_criterion_5_monotonicity_and_lemma():
-    with criterion(5, "condition monotonicity (exhaustive n<=4, randomized n in {5,6}) + foot-set lemma"):
-        for n in (1, 2, 3, 4):
-            outcome = verify_theorem_props(n)
-            assert outcome.verified, (n, outcome)
+    title = "monotonicity + foot-set lemma (all preorders n<=4, randomized n in {5,6})"
+    with criterion(5, title):
+        # feet depend on the rows only through their containment preorder,
+        # and every row tuple is some digraph's out-rows and another's in-rows
+        for n in range(5):
+            preorders = {oracles.containment_preorder(n, m) for m in range(1 << (n * n))}
+            assert len(preorders) == LABELED_PREORDERS[n]
+            for leq in preorders:
+                _assert_row_lemmas(n, lambda x, y: leq[y] >> x & 1)
         rng = random.Random(87431)
         for n in (5, 6):
             for _ in range(10_000):
@@ -166,6 +197,16 @@ def test_criterion_5_monotonicity_and_lemma():
                         sat = condition_violation(masks, n, p, False) is None
                         assert sat or not held, (n, mask, p)
                         held = held or sat
+
+                    def below(x, y):
+                        return not masks[x] & ~masks[y]
+
+                    # a random T with the foot a, and a random U holding a
+                    a = rng.randrange(n)
+                    t = {a} | {y for y in range(n) if below(a, y) and rng.random() < 0.5}
+                    u = {a} | {y for y in range(n) if rng.random() < 0.5}
+                    assert a in _feet(below, t)
+                    assert _feet(below, u) <= _feet(below, t | u), (n, mask, t, u)
 
 
 def test_criterion_6_clique_proposition():

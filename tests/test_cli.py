@@ -300,9 +300,11 @@ def test_props_above_its_cap_exits_4_before_sweeping(monkeypatch, capsys):
         raise AssertionError("the props sweep started")
 
     monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    # props sweeps the level matrices, not the labeled generator
+    monkeypatch.setattr(enumeration, "level_matrices", no_sweep)
     monkeypatch.setattr(enumeration, "_digraph_rows", no_sweep)
-    assert cli.main(["verify", "--theorem", "props", "--n", "6"]) == 4
-    assert "props enumeration cap 5" in capsys.readouterr().err
+    assert cli.main(["verify", "--theorem", "props", "--n", "8"]) == 4
+    assert "props enumeration cap 7" in capsys.readouterr().err
 
 
 # one command per cap of the table at cap + 1, but for the general cap, which
@@ -313,7 +315,7 @@ CAP_CASES = {
     "main0": (["verify", "--theorem", "main0", "--n", "12"], "order", 11),
     "loopless": (["verify", "--theorem", "loopless", "--n", "8"], "loopless", 7),
     "acyclic": (["verify", "--theorem", "acyclic", "--n", "8"], "acyclic", 7),
-    "props": (["verify", "--theorem", "props", "--n", "6"], "props", 5),
+    "props": (["verify", "--theorem", "props", "--n", "8"], "props", 7),
     **{
         f"explore{problem}": (
             ["explore", "--problem", str(problem), "--p", "2", "--n", "6"],

@@ -33,7 +33,6 @@ from ccelab.enumeration import (
     _family_sweep,
     _first_rows,
     _kr_iq_shapes,
-    _preorder_rows,
     _two_arc_matchings,
 )
 from ccelab.graphs import (
@@ -122,7 +121,7 @@ def test_every_space_comes_out_ascending_by_mask():
         for n in range(max_n + 1):
             filt = EnumerationFilter(n, *flags)
             gates = [None] + [
-                _condition_gate(n, p, kinds) for p in (2, 3) for kinds in GATE_KINDS
+                _condition_gate(p, kinds) for p in (2, 3) for kinds in GATE_KINDS
             ]
             for gate in gates:
                 masks = [mask for mask, _, _ in _digraph_rows(filt, gate=gate)]
@@ -159,7 +158,7 @@ def test_gated_rows_are_exactly_the_digraphs_meeting_the_condition_pair():
             assert len(space) == size(n)
             for p in (2, 3, 4):
                 for kinds in GATE_KINDS:
-                    gate = _condition_gate(n, p, kinds)
+                    gate = _condition_gate(p, kinds)
                     leaves = []
                     for mask, out, inc in _digraph_rows(filt, gate=gate):
                         d = Digraph.from_arc_mask(n, mask)
@@ -175,31 +174,9 @@ def test_foot_gated_loopless_leaves_are_the_labeled_interval_orders():
     # at p = 2 the loopless digraphs meeting C(2) and C'(2) are the labeled
     # interval orders (OEIS A079144)
     for n, count in enumerate([1, 3, 19, 207, 3451], start=1):
-        gate = _condition_gate(n, 2, FOOT)
+        gate = _condition_gate(2, FOOT)
         rows = _digraph_rows(EnumerationFilter(n, loopless=True), gate=gate)
         assert sum(1 for _ in rows) == count
-
-
-PREORDER_COUNTS = [1, 1, 4, 29, 355, 6942]            # OEIS A000798
-
-
-def test_preorder_counts_match_known_sequence():
-    assert [sum(1 for _ in _preorder_rows(n)) for n in range(6)] == PREORDER_COUNTS
-
-
-def test_preorder_rows_are_the_containment_preorders_of_all_row_tuples():
-    # the props row lemmas read rows only through their containment
-    # preorder, so the generator must give each preorder of n rows once, as
-    # down-set rows that are their own containment preorder, by ascending mask
-    for n in range(4):
-        generated = list(_preorder_rows(n))
-        for mask, rows in generated:
-            assert mask == sum(row << (x * n) for x, row in enumerate(rows))
-            assert oracles.containment_preorder(n, mask) == rows
-        expected = {oracles.containment_preorder(n, m) for m in range(1 << (n * n))}
-        assert [rows for _, rows in generated] == sorted(
-            expected, key=lambda rows: sum(row << (x * n) for x, row in enumerate(rows))
-        )
 
 
 def test_enumeration_order_and_uniqueness():
@@ -223,15 +200,18 @@ def no_sweep(*args, **kwargs):
 
 
 def test_props_has_its_own_cap(monkeypatch):
-    # props covers all 2^(n^2) digraphs; both of its passes run _digraph_rows
+    # props covers all 2^(n^2) digraphs through the level matrices and the
+    # two-arc matchings, never the labeled generator
     monkeypatch.delenv(CAP_ENV_VAR, raising=False)
     monkeypatch.setattr(enumeration, "_digraph_rows", no_sweep)
-    with pytest.raises(ResourceCapError, match="props enumeration cap 5"):
-        verify_theorem_props(6)
-    check_cap("props", 5)
+    for n in range(6):
+        assert verify_theorem_props(n) == SweepOutcome(1 << n * n)
+    with pytest.raises(ResourceCapError, match="props enumeration cap 7"):
+        verify_theorem_props(8)
+    check_cap("props", 7)
     check_cap("general", 6)
-    monkeypatch.setenv(CAP_ENV_VAR, "6")
-    check_cap("props", 6)
+    monkeypatch.setenv(CAP_ENV_VAR, "8")
+    check_cap("props", 8)
 
 
 def test_cap_refusal_and_env_override(monkeypatch):
@@ -418,7 +398,7 @@ def test_order_sweep_leaves_are_the_labeled_interval_orders():
         assert verify_theorem_kr(n).checked == count
     for n in range(7):
         labeled = {True: set(), False: set()}
-        gate = _condition_gate(n, 2, (ConditionKind.C,))
+        gate = _condition_gate(2, (ConditionKind.C,))
         for _, out, inc in _digraph_rows(EnumerationFilter(n, acyclic=True), gate=gate):
             labeled[True].add(canonical_form(graph_of_adj(cce_adj(out, inc))))
             labeled[False].add(canonical_form(graph_of_adj(competition_adj(out))))
@@ -829,7 +809,7 @@ def test_p3_foot_gated_leaves_are_the_ferrers_digraphs_and_the_two_arc_matchings
     for flags, max_n, loopless, target_pairs, leaf_count in spaces:
         for n in range(max_n + 1):
             filt = EnumerationFilter(n, *flags)
-            gate = _condition_gate(n, 3, FOOT)
+            gate = _condition_gate(3, FOOT)
             leaves = {mask for mask, _, _ in _digraph_rows(filt, gate=gate)}
             ferrers = {m for m in leaves if rows_nested(n, m)}
             assert len(ferrers) == sum(w for w, _, _ in level_matrices(n, loopless))
@@ -928,26 +908,6 @@ def test_clique_checker_flags_a_core_that_is_not_a_clique():
     assert check(5, 2, *args) == "clique proposition fails at p=2"
     assert check(5, 3, *args) == "clique proposition fails at p=3"
     assert check(3, 3, 0, (0, 0, 0), (0, 0, 0)) is None
-
-
-def test_props_row_lemma_failure_reports_the_least_failing_preorder(monkeypatch):
-    # a row-lemma failure names the digraph whose out-rows are the down-set
-    # rows of the least failing preorder, a digraph whose out-rows break it
-    def two_arcs_off_the_diagonal(n, rows):
-        arcs = sum(bin(row).count("1") for row in rows) - n
-        return "2 arcs off the diagonal" if arcs >= 2 else None
-
-    monkeypatch.setattr(enumeration, "_row_lemma_failure", two_arcs_off_the_diagonal)
-    for n in (2, 3, 4):
-        outcome = verify_theorem_props(n)
-        least = next(
-            m for m in range(1 << (n * n))
-            if oracles.is_preorder_mask(n, m) and bin(m).count("1") >= n + 2
-        )
-        assert outcome.checked == 1 << (n * n)
-        assert outcome.counterexample == (
-            Digraph.from_arc_mask(n, least), "2 arcs off the diagonal"
-        )
 
 
 def test_verify_rejects_bad_p():
