@@ -17,10 +17,11 @@ Unlabeled enumeration: at p = 2 each condition says the rows are nested, so
 every p = 2 sweep (loopless, acyclic and main0/kr over the interval orders,
 the props clique scan and explore over all Ferrers digraphs) takes one
 representative per isomorphism class from the level matrices
-(levels.level_matrices), weighted by its number of labelings.  At p = 3 the
-loopless, acyclic and props clique sweeps add the two-arc matchings, the
-only other digraphs meeting C(3) and C'(3) (_violation).  They run in one
-process; their counterexamples and witnesses are least masks too.
+(levels.level_matrices), weighted by its number of labelings.  The loopless
+and acyclic sweeps at p = 3 take the same representatives: the other
+digraphs meeting C(3) and C'(3) are two-arc matchings, which no theorem
+checker can flag (_violation).  They run in one process; their
+counterexamples and witnesses are least masks too.
 
 The heavy sweeps work on raw masks and neighborhood rows; Digraph objects
 are only materialized for witnesses and reports.  Mask-level logic is
@@ -29,7 +30,6 @@ cross-checked against brute-force oracles by the test suite.
 
 from __future__ import annotations
 
-import itertools
 import math
 from contextlib import ExitStack
 from functools import lru_cache, partial
@@ -49,7 +49,7 @@ from .graphs import (
     graph_of_adj,
     niche_adj,
 )
-from .levels import least_tagged_relabeling, level_counts, level_matrices, rows_mask
+from .levels import least_tagged_relabeling, level_matrices, rows_mask
 # interval_feasible_masks serves no sweep: bench/tracer.py wraps it under this
 # module until ROADMAP item 3's benchmark change drops the hook
 from .orders import interval_feasible_masks, semiorder_feasible_masks
@@ -305,7 +305,10 @@ def _checker_small_core_class(n, p, mask, out, inc):
 
 # A checker run at p = 2 or 3 sees one representative per isomorphism class
 # of Ferrers digraphs (_violation), so it must give every relabeling of a
-# digraph the same key.
+# digraph the same key.  One that _violation runs at p = 3 must also pass
+# every digraph whose CCE core has fewer than p vertices, as core_shape and
+# clique do: the two-arc matchings, which it never sees, have an edgeless
+# CCE graph.
 _CHECKERS: Dict[str, Callable] = {
     "core_shape": _checker_core_shape,
     "clique": _checker_clique,
@@ -370,21 +373,6 @@ def _run_scan(
     return leaves, found
 
 
-def _two_arc_matchings(
-    filt: EnumerationFilter,
-) -> Iterator[Tuple[int, List[int], List[int]]]:
-    """The digraphs of the filter's space with exactly two arcs a -> c and
-    b -> d, where a != b and c != d, as (arc mask, out-rows, in-rows)."""
-    n = filt.n
-    arcs = [(u, v) for u in range(n) for v in range(n)
-            if not (u == v and (filt.loopless or filt.acyclic))]
-    for (a, c), (b, d) in itertools.combinations(arcs, 2):
-        if a != b and c != d and not (filt.acyclic and (a, c) == (d, b)):
-            out, inc = [0] * n, [0] * n
-            out[a], out[b], inc[c], inc[d] = 1 << c, 1 << d, 1 << a, 1 << b
-            yield 1 << a * n + c | 1 << b * n + d, out, inc
-
-
 def _violation(
     sweep: str, filt: EnumerationFilter, p: int,
     progress: Optional[Callable[[int, int], None]], workers: int = 1,
@@ -393,7 +381,8 @@ def _violation(
     that the sweep's checker flags, with its tag, or None.
 
     At p = 2 these are the space's Ferrers digraphs, and at p = 3 the
-    Ferrers digraphs plus the two-arc matchings (_two_arc_matchings):
+    Ferrers digraphs and the two-arc matchings, the digraphs with exactly two
+    arcs a -> c and b -> d, where a != b and c != d:
 
     Lemma.  The out-rows meet C(3) and the in-rows C'(3) iff the out-rows
     are nested or the digraph is a two-arc matching.  Nested rows meet C(2),
@@ -406,21 +395,19 @@ def _violation(
     every other in-row inside in(c) & in(d), which holds neither a nor b.
     So out(a) = {c}, out(b) = {d}, and every other out-row, inside both, is
     empty.  (For n <= 2 there is no 3-set, and two incomparable subsets of
-    {0, 1} are {0} and {1}.)  The loops a -> a and b -> b occur in the
-    props space only, and the acyclic space drops the 2-cycle a -> b, b -> a.
+    {0, 1} are {0} and {1}.)
 
-    The checkers are isomorphism invariant, so each level matrix and each
-    matching is checked once, in this process, and the least mask is taken
-    over the relabelings of the flagged ones (a matching's relabelings are
-    matchings of the same space).  At p >= 4 one gated labeled scan is split
-    over workers."""
+    A matching's CCE graph has no edge: a and b share no out-neighbour, as
+    c != d, and every other out-row is empty.  So its CCE core has no
+    vertex, fewer than p, and the checkers run here pass it (_CHECKERS); at
+    p <= 3 only the Ferrers digraphs are checked.  The checkers are
+    isomorphism invariant, so each level matrix is checked once, in this
+    process, and the least mask is taken over the relabelings of the flagged
+    ones.  At p >= 4 one gated labeled scan is split over workers."""
     n, checker = filt.n, _CHECKERS[sweep]
     if p <= 3:
-        candidates = itertools.chain(
-            level_matrices(n, filt.loopless or filt.acyclic, progress),
-            _two_arc_matchings(filt) if p == 3 else (),
-        )
-        least = least_tagged_relabeling(n, candidates, partial(checker, n, p))
+        matrices = level_matrices(n, filt.loopless or filt.acyclic, progress)
+        least = least_tagged_relabeling(n, matrices, partial(checker, n, p))
     else:
         _, found = _run_scan(sweep, filt, p, _FOOT, workers, progress)
         least = next(((m, tag) for tag, m in found.items()), None)
@@ -441,10 +428,10 @@ def verify_theorem_loopless(
     Only-if: every loopless digraph on n vertices satisfying the two foot
     conditions at level p whose CCE graph has at least p non-isolated
     vertices must be K_r u I_q with r >= p and q >= 2.  If: the explicit
-    construction works for every legal (r, q) with r + q = n.  At p = 2 the
-    digraphs meeting both conditions are the interval orders, one per
-    Fishburn matrix, and at p = 3 these plus the two-arc matchings
-    (_violation); at p >= 4 the gated labeled scan is split over workers.
+    construction works for every legal (r, q) with r + q = n.  At p = 2 and
+    3 the only-if direction is checked on the interval orders, one per
+    Fishburn matrix, the only digraphs meeting both conditions that can fail
+    it (_violation); at p >= 4 the gated labeled scan is split over workers.
     checked is 2^(n(n-1)).
     """
     if p < 2:
@@ -470,8 +457,8 @@ def verify_theorem_acyclic(
     core (fewer than p vertices, no isolated vertices inside) padded with at
     least dk(core) isolated vertices; the last holds for every DAG, which
     itself realizes its core padded that way, so it is not re-checked.  At
-    p = 2 the DAGs meeting both conditions are the interval orders, one per
-    Fishburn matrix, and at p = 3 these plus the acyclic two-arc matchings
+    p = 2 and 3 the check runs on the interval orders, one per Fishburn
+    matrix, the only DAGs meeting both conditions that can fail it
     (_violation); at p >= 4 workers splits the scan, as for loopless.
     checked is _dag_count(n).
     """
@@ -584,20 +571,16 @@ def verify_theorem_props(
     is a foot of T u U.
 
     The clique proposition holds vacuously off C(p) and C'(p), so at p = 2
-    it is checked once per level matrix, and at p = 3 once per level matrix
-    and on each two-arc matching (_violation), all in this process.
-    progress steps once per level count, counting on from p = 2 to p = 3.
+    it is checked once per level matrix, in this process, and progress
+    steps once per level count.  That settles p = 3 too.  A digraph meeting
+    C(3) and C'(3) is a Ferrers digraph or a two-arc matching (the lemma of
+    _violation).  A Ferrers digraph meets C(2) and C'(2), and a core of at
+    least 3 vertices is a core of at least 2, so the p = 2 check already
+    covered it.  A matching's CCE graph has no edge, so its core is empty.
     checked is 2^(n^2).
     """
     check_cap("props", n)
-    ce = None
-    filt, levels = EnumerationFilter(n), range(2, min(n, 3) + 1)
-    steps = len(level_counts(n, False))
-    for done, p in enumerate(levels):
-        step = progress and (
-            lambda i, _, done=done * steps: progress(done + i, len(levels) * steps)
-        )
-        ce = ce or _violation("clique", filt, p, step)
+    ce = _violation("clique", EnumerationFilter(n), 2, progress)
     return SweepOutcome(1 << n * n, ce)
 
 

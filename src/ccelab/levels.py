@@ -33,12 +33,6 @@ def _compositions(total: int, parts: int) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-def level_counts(n: int, loopless: bool) -> Sequence[int]:
-    """The level counts k of the level matrices on n vertices: rows 1 ..
-    k - 1 are non-zero, and a loopless matrix's diagonal is too."""
-    return (0,) if n == 0 else range(1, n + 2 - loopless)
-
-
 def level_matrices(
     n: int, loopless: bool, progress: Optional[Callable[[int, int], None]] = None
 ) -> Iterator[Tuple[int, List[int], List[int]]]:
@@ -50,7 +44,8 @@ def level_matrices(
     sum over the row's cells.  progress(i, total), when given, follows the
     i-th level count's last matrix."""
     fact = [math.factorial(i) for i in range(n + 1)]
-    levels = level_counts(n, loopless)
+    # rows 1 .. k - 1 are non-zero, and a loopless matrix's diagonal is too
+    levels = (0,) if n == 0 else range(1, n + 2 - loopless)
     for step, k in enumerate(levels, 1):
 
         def rows(i: int, left: int, zero: int, denom: int) -> Iterator[int]:

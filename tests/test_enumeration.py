@@ -33,7 +33,6 @@ from ccelab.enumeration import (
     _family_sweep,
     _first_rows,
     _kr_iq_shapes,
-    _two_arc_matchings,
 )
 from ccelab.graphs import (
     canonical_form,
@@ -200,8 +199,8 @@ def no_sweep(*args, **kwargs):
 
 
 def test_props_has_its_own_cap(monkeypatch):
-    # props covers all 2^(n^2) digraphs through the level matrices and the
-    # two-arc matchings, never the labeled generator
+    # props covers all 2^(n^2) digraphs through the level matrices, never the
+    # labeled generator
     monkeypatch.delenv(CAP_ENV_VAR, raising=False)
     monkeypatch.setattr(enumeration, "_digraph_rows", no_sweep)
     for n in range(6):
@@ -621,9 +620,22 @@ def test_verify_props_small():
     assert verify_theorem_props(2).verified
     seen = []
     assert verify_theorem_props(3, progress=lambda *step: seen.append(step)).verified
-    # one step per level count (k = 1 .. 4) at p = 2, then again at p = 3,
-    # counted on
-    assert seen == [(i, 8) for i in range(1, 9)]
+    # one step per level count (k = 1 .. 4) of the p = 2 pass, its only pass
+    assert seen == [(i, 4) for i in range(1, 5)]
+
+
+def test_props_runs_one_pass_at_p2(monkeypatch):
+    calls, violation = [], enumeration._violation
+
+    def spy(sweep, filt, p, progress, workers=1):
+        calls.append((sweep, filt, p))
+        return violation(sweep, filt, p, progress, workers)
+
+    monkeypatch.setattr(enumeration, "_violation", spy)
+    for n in range(5):
+        del calls[:]
+        assert verify_theorem_props(n) == SweepOutcome(1 << n * n)
+        assert calls == [("clique", EnumerationFilter(n), 2)]
 
 
 def test_sweeps_deterministic_across_worker_counts():
@@ -691,11 +703,11 @@ def rows_nested(n, mask):
 
 
 def test_theorem_checker_sees_exactly_the_digraphs_meeting_c_and_c_prime(monkeypatch):
-    # the theorem sweeps gate on the foot conditions (not the head ones, which
-    # coincide with them only at p = 2) and visit every digraph meeting both:
-    # one representative per isomorphism class of those with nested rows,
-    # whose relabelings are each of them once, and at p = 3 each other one,
-    # a two-arc matching, on its own
+    # the theorem sweeps see one representative per isomorphism class of the
+    # digraphs meeting the foot conditions (not the head ones, which coincide
+    # with them only at p = 2) with nested rows, whose relabelings are each
+    # of them once; the rest of those meeting both, at p = 3 only, are the
+    # digraphs with two arcs and unnested rows, the two-arc matchings
     seen = []
 
     def record(n, p, mask, out, inc):
@@ -714,29 +726,29 @@ def test_theorem_checker_sees_exactly_the_digraphs_meeting_c_and_c_prime(monkeyp
             for p in (2, 3):
                 del seen[:]
                 verify(p, n, workers=1)
-                met = [m for m in space(n) if {"C", "Cp"} <= conditions_met(n, m, p)]
-                classes = [relabelings(n, m) for m in seen if rows_nested(n, m)]
-                labeled = [m for m in seen if not rows_nested(n, m)]
-                assert sum(map(len, classes)) + len(labeled) == len(met)
-                assert set().union(*classes, labeled) == set(met)
+                met = {m for m in space(n) if {"C", "Cp"} <= conditions_met(n, m, p)}
+                assert all(rows_nested(n, m) for m in seen)
+                classes = [relabelings(n, m) for m in seen]
+                covered = set().union(*classes)
+                assert sum(map(len, classes)) == len(covered)
+                assert covered <= met
+                assert met - covered == {
+                    m for m in met if bin(m).count("1") == 2 and not rows_nested(n, m)
+                }
 
 
 def test_props_counterexample_is_least_mask(monkeypatch):
-    # the clique scans cut every digraph failing C(p) or C'(p), so the
-    # checker flags only digraphs meeting both, at one level: the report is
-    # the least flagged mask of that level's scan
-    for level, sizes in ((2, (2, 3, 4)), (3, (3, 4))):
-        def flag_at_level(n, p, mask, out, inc):
-            return flag_three_arcs(n, p, mask, out, inc) if p == level else None
-
-        monkeypatch.setitem(_CHECKERS, "clique", flag_at_level)
-        for n in sizes:
-            outcome = verify_theorem_props(n)
-            least = next(m for m in range(1 << (n * n)) if flagged(n, level, m))
-            assert outcome.checked == 1 << (n * n)
-            assert outcome.counterexample == (
-                Digraph.from_arc_mask(n, least), "at least 3 arcs, C and C'"
-            )
+    # the clique scan cuts every digraph failing C(2) or C'(2), so the
+    # checker flags only digraphs meeting both: the report is the least
+    # flagged mask of the p = 2 scan
+    monkeypatch.setitem(_CHECKERS, "clique", flag_three_arcs)
+    for n in (2, 3, 4):
+        outcome = verify_theorem_props(n)
+        least = next(m for m in range(1 << (n * n)) if flagged(n, 2, m))
+        assert outcome.checked == 1 << (n * n)
+        assert outcome.counterexample == (
+            Digraph.from_arc_mask(n, least), "at least 3 arcs, C and C'"
+        )
 
 
 def degree_pairs(n, mask):
@@ -796,79 +808,110 @@ def test_p2_sweep_reports_the_least_labeled_failing_mask(name, monkeypatch):
             )
 
 
+def is_two_arc_matching(n, mask):
+    """Whether the digraph has exactly two arcs a -> c and b -> d, with a != b
+    and c != d."""
+    arcs = Digraph.from_arc_mask(n, mask).arcs
+    return len(arcs) == 2 and all(x != y for x, y in zip(*arcs))
+
+
+# space flags -> (its largest n in a gated scan, whether its level matrices
+# are loopless, its membership test, its target pairs (c, d) per source pair,
+# its leaves meeting C(3) and C'(3) at that n); a matching's loops a -> a and
+# b -> b occur in the props space only, and the acyclic space drops the
+# 2-cycle a -> b, b -> a
+P3_SPACES = {
+    (False, False): (4, False, lambda d: True, lambda n: n * (n - 1), 6974),
+    (True, False): (5, True, Digraph.is_loopless, lambda n: n * n - 3 * n + 3, 3581),
+    (False, True): (5, True, Digraph.is_acyclic, lambda n: (n - 1) * (n - 2), 3571),
+}
+
+
+def two_arc_matchings(n, flags):
+    """The masks of the space's two-arc matchings, by brute force over its
+    two-arc digraphs."""
+    in_space = P3_SPACES[flags][2]
+    return {
+        m for a, b in itertools.combinations(range(n * n), 2)
+        for m in (1 << a | 1 << b,)
+        if is_two_arc_matching(n, m) and in_space(Digraph.from_arc_mask(n, m))
+    }
+
+
 def test_p3_foot_gated_leaves_are_the_ferrers_digraphs_and_the_two_arc_matchings():
     # the lemma of _violation: a digraph of the space meets C(3) and C'(3)
     # iff its rows are nested (a labeling of one of the level matrices) or
     # it is one of the two-arc matchings, C(n, 2) source pairs times the
     # target pairs of each space
-    spaces = (
-        ((False, False), 4, False, lambda n: n * (n - 1), 6974),
-        ((True, False), 5, True, lambda n: n * n - 3 * n + 3, 3581),
-        ((False, True), 5, True, lambda n: (n - 1) * (n - 2), 3571),
-    )
-    for flags, max_n, loopless, target_pairs, leaf_count in spaces:
+    for flags, (max_n, loopless, _, target_pairs, leaf_count) in P3_SPACES.items():
         for n in range(max_n + 1):
             filt = EnumerationFilter(n, *flags)
             gate = _condition_gate(3, FOOT)
             leaves = {mask for mask, _, _ in _digraph_rows(filt, gate=gate)}
             ferrers = {m for m in leaves if rows_nested(n, m)}
             assert len(ferrers) == sum(w for w, _, _ in level_matrices(n, loopless))
-            matchings = []
-            for mask, out, inc in _two_arc_matchings(filt):
-                d = Digraph.from_arc_mask(n, mask)
-                assert (tuple(out), tuple(inc)) == (d.out_masks, d.in_masks)
-                matchings.append(mask)
-            assert len(matchings) == math.comb(n, 2) * target_pairs(n)
-            assert len(set(matchings)) == len(matchings)
-            assert set(matchings) == leaves - ferrers
+            assert len(leaves - ferrers) == math.comb(n, 2) * target_pairs(n)
+            assert leaves - ferrers == two_arc_matchings(n, flags)
         assert len(leaves) == leaf_count
     # n = 7, beyond a gated scan in a test: 651 and 630 (the ROADMAP table)
-    assert len(list(_two_arc_matchings(EnumerationFilter(7, loopless=True)))) == 651
-    assert len(list(_two_arc_matchings(EnumerationFilter(7, acyclic=True)))) == 630
+    assert len(two_arc_matchings(7, (True, False))) == 651
+    assert len(two_arc_matchings(7, (False, True))) == 630
+
+
+def test_theorem_checkers_pass_every_two_arc_matching():
+    # a matching's CCE graph has no edge, so the checkers that _violation runs
+    # at p = 3 pass it, and the p = 3 sweeps need not see it
+    for flags in P3_SPACES:
+        for n in range(6):
+            for mask in two_arc_matchings(n, flags):
+                d = Digraph.from_arc_mask(n, mask)
+                for sweep in ("core_shape", "clique"):
+                    assert _CHECKERS[sweep](n, 3, mask, d.out_masks, d.in_masks) is None
+
+
+def test_clique_flags_at_p3_only_what_it_flags_at_p2():
+    # why props runs p = 2 alone: on a Ferrers digraph, a core of at least 3
+    # vertices is a core of at least 2
+    clique = _CHECKERS["clique"]
+    for n in range(6):
+        for loopless in (False, True):
+            for _, out, inc in level_matrices(n, loopless):
+                mask = rep_mask(n, out)
+                if clique(n, 3, mask, out, inc) is not None:
+                    assert clique(n, 2, mask, out, inc) is not None
 
 
 P3_CALLS = {
     "loopless": lambda n: verify_theorem_loopless(3, n),
     "acyclic": lambda n: verify_theorem_acyclic(3, n),
-    "props": verify_theorem_props,
 }
 
 
 @pytest.mark.parametrize("name", sorted(P3_CALLS))
 def test_p3_sweep_reports_the_least_labeled_failing_mask(name, monkeypatch):
-    # a checker flagging at p = 3 the two-arc matchings, a class of Ferrers
-    # digraphs whose representative is not its least relabeling, or both:
-    # the report is the least labeled digraph of the space meeting C(3) and
-    # C'(3) in a flagged class, by brute force
+    # a checker flagging at p = 3 classes of Ferrers digraphs whose
+    # representatives are not their least relabelings: the report is the
+    # least labeled digraph of the space meeting C(3) and C'(3) in a flagged
+    # class, by brute force
     _, sweep, loopless, space, max_n = P2_SWEEPS[name]
-
-    def key(n, mask):
-        matching = bin(mask).count("1") == 2 and not rows_nested(n, mask)
-        return "matching" if matching else degree_pairs(n, mask)
-
-    matching_first = set()
     for n in range(3, max_n + 1):
         targets = unsorted_classes(name, n, loopless)
         least = {}
         for m in space(n):
-            k = key(n, m)
-            if (k == "matching" or k in targets) and k not in least:
+            key = degree_pairs(n, m)
+            if key in targets and key not in least:
                 if {"C", "Cp"} <= conditions_met(n, m, 3):
-                    least[k] = m
-        flag_sets = [["matching"]] + [[t] for t in targets]
-        for flagged_keys in flag_sets + [["matching", t] for t in targets]:
+                    least[key] = m
+        for flagged_keys in [[target] for target in targets] + [targets]:
             def flag(n, p, mask, out, inc):
-                return "flagged" if p == 3 and key(n, mask) in flagged_keys else None
+                flag = p == 3 and degree_pairs(n, mask) in flagged_keys
+                return "flagged" if flag else None
 
             monkeypatch.setitem(_CHECKERS, sweep, flag)
-            expected = min(least[k] for k in flagged_keys)
+            expected = min(least[key] for key in flagged_keys)
             assert P3_CALLS[name](n).counterexample == (
                 Digraph.from_arc_mask(n, expected), "flagged"
             )
-            if len(flagged_keys) == 2:
-                matching_first.add(expected == least["matching"])
-    # the pairs have each half least somewhere
-    assert matching_first == {True, False}
 
 
 def test_p2_and_p3_sweeps_never_run_the_labeled_scan(monkeypatch):
@@ -879,7 +922,7 @@ def test_p2_and_p3_sweeps_never_run_the_labeled_scan(monkeypatch):
                 outcome = verify_theorem_loopless(p, n, workers)
                 assert outcome == SweepOutcome(1 << n * (n - 1))
                 assert verify_theorem_acyclic(p, n, workers) == SweepOutcome(_dag_count(n))
-    # nor does props, whose clique check runs at p = 2 and 3 only
+    # nor does props, whose clique check runs at p = 2 only
     for n in range(5):
         assert verify_theorem_props(n) == SweepOutcome(1 << n * n)
 
