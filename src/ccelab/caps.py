@@ -17,21 +17,20 @@ DEFAULT_CAPS = {
     # order: n = 11 (1,422,074 matrices) takes ~23-33 s on one core, n = 10
     # ~3-4.7 s; n = 12 has 10.9 M matrices
     "order": 11,
-    # the loopless theorem sweep: at p = 2 and 3 one Fishburn matrix per
-    # interval order, n = 7 in under 0.2 s in one process; at p >= 4 the
-    # gated labeled scan, which sets the cap: n = 7 at p = 4 takes ~281 s on
-    # 2 workers
+    # the loopless theorem sweep: at p <= 3 one Fishburn matrix per interval
+    # order, n = 7 in under 0.2 s; at 4 <= p <= n the gated labeled scan sets
+    # the cap: n = 7 takes ~281 s at p = 4 on 2 workers, and p = 5-7 no less
     "loopless": 7,
     # DAG enumeration and the acyclic theorem sweep: at p <= 3 as loopless,
-    # n = 7 in under 0.2 s; at p >= 4 the gated DAG scan, n = 7 at p = 4 in
-    # ~117 s on 2 workers
+    # n = 7 in under 0.2 s; at 4 <= p <= n the gated DAG scan, n = 7 at p = 4
+    # in ~117 s on 2 workers, and p = 5-7 no less
     "acyclic": 7,
     # the props clique check over all 2^(n^2) digraphs, in one process: one
     # representative per level matrix, at p = 2 only; n = 6 takes
     # ~0.6-0.7 s, n = 7 ~8.3 s on one core
     "props": 7,
-    # explore: at n = 5 and p = 3 problem 3 takes ~16-17 s on one core and
-    # ~11-12 s on 2 workers (idle host); at p = 2 each problem takes under
+    # explore: at n = 5 and p = 3 problem 3 takes ~17-19 s on one core and
+    # ~10-12 s on 2 workers (load ~1); at p = 2 each problem takes under
     # 0.5 s at n = 5, but problem 2's witness scan ~32 s at n = 6
     "explore": 5,
     # dk search, every stratum within 2 s

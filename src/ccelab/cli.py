@@ -328,7 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=int, default=2,
+                   help="the level p of loopless and acyclic; main0, kr and props "
+                        "ignore it, and their --json reports p as null")
     p.add_argument("--report", default="counterexample.digraph", metavar="FILE")
     p.add_argument("--threads", type=_threads, default=0,
                    help="worker processes (0 = one per CPU) for loopless and "

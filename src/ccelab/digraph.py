@@ -30,6 +30,11 @@ def submasks(mask: int) -> Iterator[int]:
         row = (row - mask) & mask
 
 
+def rows_mask(n: int, out: Sequence[int]) -> int:
+    """The arc mask of the digraph on n vertices with the given out-rows."""
+    return sum(row << v * n for v, row in enumerate(out))
+
+
 def ancestors(v: int, ins: Sequence[int]) -> int:
     """Mask of the vertices with a directed path to v, given in-rows."""
     found = frontier = ins[v]
@@ -104,11 +109,7 @@ class Digraph:
     # and the tiebreak used for deterministic counterexamples.
 
     def arc_mask(self) -> int:
-        n = self.n
-        m = 0
-        for u, v in self.arcs:
-            m |= 1 << (u * n + v)
-        return m
+        return rows_mask(self.n, self.out_masks)
 
     @classmethod
     def from_arc_mask(cls, n: int, mask: int) -> "Digraph":

@@ -9,9 +9,10 @@ mask order.  The loopless and acyclic sweeps at p >= 4 and the explore
 surveys at p >= 3 run it through a condition gate, which cuts a branch once
 its assigned rows fail a condition by the peel lemma (conditions.peel_left),
 in one chunk per top-vertex row, taken in mask order (_run_scan); only these
-take a worker count.  These sweeps never stop early, and the first hit of
-a sweep (its first counterexample, each class's first witness) is the
-least-mask one, so the outcome is identical for any worker count.
+take a worker count; a theorem sweep skips the scan when p > n (_violation).
+These sweeps never stop early, and the first hit of a sweep (its first
+counterexample, each class's first witness) is the least-mask one, so the
+outcome is identical for any worker count.
 
 Unlabeled enumeration: at p = 2 each condition says the rows are nested, so
 every p = 2 sweep (loopless, acyclic and main0/kr over the interval orders,
@@ -49,7 +50,7 @@ from .graphs import (
     graph_of_adj,
     niche_adj,
 )
-from .levels import least_tagged_relabeling, level_matrices, rows_mask
+from .levels import least_tagged_relabeling, level_matrices
 # interval_feasible_masks serves no sweep: bench/tracer.py wraps it under this
 # module until ROADMAP item 3's benchmark change drops the hook
 from .orders import interval_feasible_masks, semiorder_feasible_masks
@@ -246,23 +247,24 @@ def _dag_count(n: int) -> int:
     )
 
 
-def dag_masks(n: int) -> Tuple[int, ...]:
-    """Arc masks of all labeled DAGs on n vertices, ascending."""
+def dag_masks(n: int) -> Iterator[int]:
+    """Arc masks of all labeled DAGs on n vertices, ascending; like
+    enumerate_digraphs, it checks the cap eagerly and streams the masks."""
     check_cap("acyclic", n)
-    filt = EnumerationFilter(n, acyclic=True)
-    return tuple(mask for mask, _, _ in _digraph_rows(filt))
+    return (mask for mask, _, _ in _digraph_rows(EnumerationFilter(n, acyclic=True)))
 
 
 # -- chunked scan ----------------------------------------------------------------
 #
-# Each sweep provides a checker(n, p, mask, out_rows, in_rows) returning None
-# or a key: a violation tag or a class.  A labeled scan at level p is cut into
-# one chunk per top-vertex row, and each chunk scans its whole share, so the
-# outcome is worker-count independent.  Each chunk keeps the first mask per
-# key and lies wholly above the one before it, so merging the chunks' keys in
-# chunk order keeps each key's least mask; the first merged key is the
-# least-mask counterexample.  A checker passes every digraph failing a
-# condition of its sweep's kinds, so the gate cuts those branches unvisited.
+# Each sweep provides a checker(p, out_rows, in_rows) returning None or a
+# key: a violation tag or a class; n is len(out_rows).  A labeled scan at
+# level p is cut into one chunk per top-vertex row, and each chunk scans its
+# whole share, so the outcome is worker-count independent.  Each chunk keeps
+# the first mask per key and lies wholly above the one before it, so merging
+# the chunks' keys in chunk order keeps each key's least mask; the first
+# merged key is the least-mask counterexample.  A checker passes every
+# digraph failing a condition of its sweep's kinds, so the gate cuts those
+# branches unvisited.
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +275,7 @@ def _canon(adj: Tuple[int, ...]) -> int:
     return canonical_form(graph_of_adj(adj))
 
 
-def _checker_core_shape(n, p, mask, out, inc):
+def _checker_core_shape(p, out, inc):
     """For a digraph meeting both foot conditions at p, as every leaf of a
     foot-gated scan does: a CCE core of at least p vertices must be a clique
     beside at least 2 isolated vertices.  That is the loopless only-if
@@ -284,12 +286,12 @@ def _checker_core_shape(n, p, mask, out, inc):
         return None
     if not clique:
         return "CCE core is not a clique"
-    if n - core < 2:
+    if len(out) - core < 2:
         return "CCE graph has fewer than 2 isolated vertices"
     return None
 
 
-def _checker_clique(n, p, mask, out, inc):
+def _checker_clique(p, out, inc):
     """The clique proposition at p, for a digraph meeting both foot
     conditions at p, as every leaf of a foot-gated scan does: a CCE core of
     at least p vertices is a clique."""
@@ -297,7 +299,7 @@ def _checker_clique(n, p, mask, out, inc):
     return f"clique proposition fails at p={p}" if core >= p and not clique else None
 
 
-def _checker_small_core_class(n, p, mask, out, inc):
+def _checker_small_core_class(p, out, inc):
     """The CCE class of a digraph whose CCE core has fewer than p vertices."""
     adj = cce_adj(out, inc)
     return _canon(tuple(adj)) if sum(1 for row in adj if row) < p else None
@@ -305,16 +307,16 @@ def _checker_small_core_class(n, p, mask, out, inc):
 
 # A checker run at p = 2 or 3 sees one representative per isomorphism class
 # of Ferrers digraphs (_violation), so it must give every relabeling of a
-# digraph the same key.  One that _violation runs at p = 3 must also pass
-# every digraph whose CCE core has fewer than p vertices, as core_shape and
-# clique do: the two-arc matchings, which it never sees, have an edgeless
-# CCE graph.
+# digraph the same key.  One that _violation runs must also pass every
+# digraph whose CCE core has fewer than p vertices, as core_shape and clique
+# do: it never sees the two-arc matchings at p = 3, whose CCE graph is
+# edgeless, nor any digraph at p >= 4 when p > n.
 _CHECKERS: Dict[str, Callable] = {
     "core_shape": _checker_core_shape,
     "clique": _checker_clique,
     "small_core_class": _checker_small_core_class,
-    "cce_class": lambda n, p, mask, out, inc: _canon(tuple(cce_adj(out, inc))),
-    "niche_class": lambda n, p, mask, out, inc: _canon(tuple(niche_adj(out, inc))),
+    "cce_class": lambda p, out, inc: _canon(tuple(cce_adj(out, inc))),
+    "niche_class": lambda p, out, inc: _canon(tuple(niche_adj(out, inc))),
 }
 
 
@@ -325,23 +327,20 @@ def _scan(
     kinds: Sequence[ConditionKind],
     first_row: Optional[int] = None,
     keys: Optional[int] = None,
-) -> Tuple[int, Dict[object, int]]:
+) -> Dict[object, int]:
     """Check, in ascending mask order, the digraphs of the space that meet
     the condition kinds at p and whose top-vertex row is first_row (any row
-    when None); returns (leaves visited, first mask per key).  Given keys,
-    it stops once it has found that many keys."""
+    when None); returns the first mask per key.  Given keys, it stops once
+    it has found that many keys."""
     checker = _CHECKERS[sweep]
-    n = filt.n
-    leaves = 0
     found: Dict[object, int] = {}
     for mask, out, inc in _digraph_rows(filt, first_row, _condition_gate(p, kinds)):
-        leaves += 1
-        key = checker(n, p, mask, out, inc)
+        key = checker(p, out, inc)
         if key is not None:
             found.setdefault(key, mask)
             if len(found) == keys:
                 break
-    return leaves, found
+    return found
 
 
 def _run_scan(
@@ -351,11 +350,11 @@ def _run_scan(
     kinds: Sequence[ConditionKind],
     workers: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
-) -> Tuple[int, Dict[object, int]]:
-    """Sum of leaves, and each key's first mask, over one _scan per
-    top-vertex row, merged in chunk order."""
+) -> Dict[object, int]:
+    """Each key's first mask over one _scan per top-vertex row, merged in
+    chunk order."""
     chunks = list(_first_rows(filt))
-    leaves, found = 0, {}
+    found: Dict[object, int] = {}
     with ExitStack() as stack:
         mapper = map
         if workers > 1:
@@ -364,13 +363,12 @@ def _run_scan(
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         results = mapper(partial(_scan, sweep, filt, p, kinds), chunks)
-        for i, (chunk_leaves, chunk_found) in enumerate(results, 1):
-            leaves += chunk_leaves
+        for i, chunk_found in enumerate(results, 1):
             for key, mask in chunk_found.items():
                 found.setdefault(key, mask)
             if progress:
                 progress(i, len(chunks))
-    return leaves, found
+    return found
 
 
 def _violation(
@@ -403,13 +401,18 @@ def _violation(
     p <= 3 only the Ferrers digraphs are checked.  The checkers are
     isomorphism invariant, so each level matrix is checked once, in this
     process, and the least mask is taken over the relabelings of the flagged
-    ones.  At p >= 4 one gated labeled scan is split over workers."""
+    ones.  At p >= 4 one gated labeled scan is split over workers, unless
+    p > n: the checkers run here pass every digraph whose CCE core has fewer
+    than p vertices (_CHECKERS), and a core has at most n < p vertices, so
+    nothing is scanned and no pool starts."""
     n, checker = filt.n, _CHECKERS[sweep]
     if p <= 3:
         matrices = level_matrices(n, filt.loopless or filt.acyclic, progress)
-        least = least_tagged_relabeling(n, matrices, partial(checker, n, p))
+        least = least_tagged_relabeling(n, matrices, partial(checker, p))
+    elif p > n:
+        return None
     else:
-        _, found = _run_scan(sweep, filt, p, _FOOT, workers, progress)
+        found = _run_scan(sweep, filt, p, _FOOT, workers, progress)
         least = next(((m, tag) for tag, m in found.items()), None)
     return least and (Digraph.from_arc_mask(n, least[0]), least[1])
 
@@ -423,25 +426,24 @@ def verify_theorem_loopless(
     workers: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> SweepOutcome:
-    """Both directions of the loopless characterization at one size.
+    """The loopless characterization at one size.
 
-    Only-if: every loopless digraph on n vertices satisfying the two foot
-    conditions at level p whose CCE graph has at least p non-isolated
-    vertices must be K_r u I_q with r >= p and q >= 2.  If: the explicit
-    construction works for every legal (r, q) with r + q = n.  At p = 2 and
-    3 the only-if direction is checked on the interval orders, one per
-    Fishburn matrix, the only digraphs meeting both conditions that can fail
-    it (_violation); at p >= 4 the gated labeled scan is split over workers.
-    checked is 2^(n(n-1)).
+    Only-if, the part swept: every loopless digraph on n vertices satisfying
+    the two foot conditions at level p whose CCE graph has at least p
+    non-isolated vertices must be K_r u I_q with r >= p and q >= 2.  At
+    p = 2 and 3 it is checked on the interval orders, one per Fishburn
+    matrix, the only digraphs meeting both conditions that can fail it
+    (_violation); at p >= 4 the gated labeled scan is split over workers,
+    and at p > n nothing is scanned.  If: witnesses.witness_loopless proves
+    its construction in its docstring, and the test suite checks it up to
+    one past this cap.  checked is 2^(n(n-1)).
     """
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     check_cap("loopless", n)
     filt = EnumerationFilter(n, loopless=True)
-    from .witnesses import loopless_witness_failure
-
     ce = _violation("core_shape", filt, p, progress, workers)
-    return SweepOutcome(1 << n * (n - 1), ce or loopless_witness_failure(p, n))
+    return SweepOutcome(1 << n * (n - 1), ce)
 
 
 def verify_theorem_acyclic(
@@ -459,7 +461,8 @@ def verify_theorem_acyclic(
     itself realizes its core padded that way, so it is not re-checked.  At
     p = 2 and 3 the check runs on the interval orders, one per Fishburn
     matrix, the only DAGs meeting both conditions that can fail it
-    (_violation); at p >= 4 workers splits the scan, as for loopless.
+    (_violation); at p >= 4 workers splits the scan, as for loopless, and
+    at p > n there is nothing to scan.
     checked is _dag_count(n).
     """
     if p < 2:
@@ -506,7 +509,7 @@ def _family_sweep(
         if outside:
             tag = f"{family} derived graph outside the shape family"
 
-            def member(mask: int, out: List[int], inc: List[int]) -> Optional[str]:
+            def member(out: List[int], inc: List[int]) -> Optional[str]:
                 in_class = canon_of(out, inc) == outside[0]
                 if in_class and family == "semiorder":
                     in_class = semiorder_feasible_masks(n, out)
@@ -622,10 +625,9 @@ def _ferrers_classes(sweep: str, n: int) -> Dict[int, int]:
     the ascending labeled scan of that space, gated by C(2), which stops at
     the leaf that gives the last class its witness."""
     checker = _CHECKERS[sweep]
-    classes = {checker(n, 2, rows_mask(n, out), out, inc)
+    classes = {checker(2, out, inc)
                for _, out, inc in level_matrices(n, False)} - {None}
-    filt = EnumerationFilter(n)
-    return _scan(sweep, filt, 2, (ConditionKind.C,), keys=len(classes))[1]
+    return _scan(sweep, EnumerationFilter(n), 2, (ConditionKind.C,), keys=len(classes))
 
 
 def explore_open_problem(
@@ -657,7 +659,7 @@ def explore_open_problem(
                 ferrers[sweep] = _ferrers_classes(sweep, n)
             classes = ferrers[sweep]
         else:
-            _, classes = _run_scan(sweep, EnumerationFilter(n), p, kinds, workers)
+            classes = _run_scan(sweep, EnumerationFilter(n), p, kinds, workers)
         sections[section] = tuple(
             ExploreClass(c, graph_from_canonical(n, c), Digraph.from_arc_mask(n, m))
             for c, m in sorted(classes.items())

@@ -20,6 +20,8 @@ import math
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .digraph import rows_mask
+
 
 @lru_cache(maxsize=None)
 def _compositions(total: int, parts: int) -> Tuple[Tuple[int, ...], ...]:
@@ -95,11 +97,6 @@ def level_matrices(
             progress(step, len(levels))
 
 
-def rows_mask(n: int, out: Sequence[int]) -> int:
-    """The arc mask of the digraph with the given out-rows."""
-    return sum(row << v * n for v, row in enumerate(out))
-
-
 def least_relabeled_mask(n: int, out: Sequence[int], ins: Sequence[int]) -> int:
     """The least arc mask among the relabelings of the digraph with the given
     rows.  Vertices with equal out- and in-rows are twins, so it walks the
@@ -130,19 +127,19 @@ def least_relabeled_mask(n: int, out: Sequence[int], ins: Sequence[int]) -> int:
 def least_tagged_relabeling(
     n: int,
     digraphs: Iterable[Tuple[int, List[int], List[int]]],
-    tag_of: Callable[[int, List[int], List[int]], Optional[str]],
+    tag_of: Callable[[List[int], List[int]], Optional[str]],
 ) -> Optional[Tuple[int, str]]:
     """The least (least relabeled mask, tag) over the digraphs, given as
     (anything, out-rows, in-rows) like level_matrices' items, that
-    tag_of(arc mask, out-rows, in-rows) tags, or None; the relabelings are
-    walked for the tagged digraphs only.  When tag_of gives every relabeling
-    the same tag, the mask is the least tagged one among the labeled
-    digraphs isomorphic to those given."""
+    tag_of(out-rows, in-rows) tags, or None; masks are built, and the
+    relabelings walked, for the tagged digraphs only.  When tag_of gives
+    every relabeling the same tag, the mask is the least tagged one among
+    the labeled digraphs isomorphic to those given."""
     return min(
         (
             (least_relabeled_mask(n, out, inc), tag)
             for _, out, inc in digraphs
-            for tag in (tag_of(rows_mask(n, out), out, inc),)
+            for tag in (tag_of(out, inc),)
             if tag is not None
         ),
         default=None,

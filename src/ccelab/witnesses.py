@@ -7,20 +7,21 @@ a = r and b = r+1, then any remaining isolated vertices.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from .conditions import peel_left
 from .digraph import Digraph
-from .graphs import cce_graph, decompose_kr_iq
 from .orders import SemiorderRep
 
 
 def witness_loopless(r: int, q: int) -> Digraph:
-    """A loopless digraph whose CCE graph is K_r u I_q (needs r >= 2, q >= 2).
+    """A loopless digraph whose CCE graph is K_r u I_q (needs r >= 2, q >= 2),
+    which proves the "if" direction of the loopless characterization.
 
     Arcs: a feeds every clique vertex and b; every clique vertex feeds b.
-    The vertex a is the common enemy and b the common prey of the clique,
-    while a and b themselves stay isolated in the CCE graph.
+    With K the clique, the out-rows are K u {b} (a), {b} (each of K) and
+    empty (the rest), and the in-rows K u {a} (b), {a} (each of K) and
+    empty: two chains, so peel_left peels every row, and by its lemma C(p)
+    and C'(p) hold at every p >= 2.  Only a and K have out-neighbours, and a
+    has no in-neighbour, so only pairs inside K can be CCE adjacent, and
+    each shares prey b and enemy a: the CCE graph is K_r u I_q.
     """
     if r < 2 or q < 2:
         raise ValueError(
@@ -32,21 +33,6 @@ def witness_loopless(r: int, q: int) -> Digraph:
     arcs += [(x, b) for x in range(r)]
     arcs.append((a, b))
     return Digraph(r + q, arcs)
-
-
-def loopless_witness_failure(p: int, n: int) -> Optional[Tuple[Digraph, str]]:
-    """The first witness_loopless(r, n - r), p <= r <= n - 2, whose CCE
-    graph is not K_r u I_(n-r) or which fails a foot condition at p, with a
-    tag, or None: the if direction of the loopless characterization."""
-    for r in range(p, n - 1):
-        q = n - r
-        w = witness_loopless(r, q)
-        shape = decompose_kr_iq(cce_graph(w))
-        if shape is None or (shape.r, shape.q) != (r, q):
-            return (w, f"witness CCE graph is not K_{r} u I_{q}")
-        if any(peel_left(rows) >= p for rows in (w.out_masks, w.in_masks)):
-            return (w, f"witness violates a foot condition at p={p}")
-    return None
 
 
 def witness_semiorder(r: int, q: int) -> SemiorderRep:

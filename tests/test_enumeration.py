@@ -25,6 +25,7 @@ from ccelab import (
 from ccelab import dk, enumeration
 from ccelab.caps import CAP_ENV_VAR, check_cap
 from ccelab.conditions import ConditionKind, peel_left
+from ccelab.digraph import rows_mask
 from ccelab.enumeration import (
     _CHECKERS,
     _condition_gate,
@@ -64,7 +65,7 @@ def test_enumeration_counts_closed_forms():
 
 @pytest.mark.parametrize("n", range(6))
 def test_dag_counts_match_known_sequence(n):
-    assert len(dag_masks(n)) == DAG_COUNTS[n]
+    assert sum(1 for _ in dag_masks(n)) == DAG_COUNTS[n]
 
 
 def test_dag_count_recurrence_matches_the_generator():
@@ -72,13 +73,13 @@ def test_dag_count_recurrence_matches_the_generator():
     for n in range(6):
         dags = _digraph_rows(EnumerationFilter(n, acyclic=True))
         assert _dag_count(n) == sum(1 for _ in dags)
-    assert _dag_count(6) == len(dag_masks(6))
+    assert _dag_count(6) == sum(1 for _ in dag_masks(6))
 
 
 def test_dag_masks_match_permutation_oracle():
     for n in range(6):
-        masks = dag_masks(n)
-        assert list(masks) == sorted(set(masks))        # ascending, unique
+        masks = list(dag_masks(n))
+        assert masks == sorted(set(masks))              # ascending, unique
         assert set(masks) == oracles.dag_mask_set(n)
 
 
@@ -133,13 +134,15 @@ def test_every_space_comes_out_ascending_by_mask():
 
 
 def test_acyclic_enumeration_streams():
-    # the least DAGs on 7 vertices come without generating all 1,138,779,265
+    # the least DAGs on 7 vertices come without generating all 1,138,779,265,
+    # from either public generator
     dags = enumerate_digraphs(EnumerationFilter(7, acyclic=True))
     first = [d.arc_mask() for d in itertools.islice(dags, 200)]
     least = itertools.islice(
         (m for m in itertools.count() if Digraph.from_arc_mask(7, m).is_acyclic()), 200
     )
     assert first == list(least)
+    assert list(itertools.islice(dag_masks(7), 200)) == first
 
 
 def test_gated_rows_are_exactly_the_digraphs_meeting_the_condition_pair():
@@ -281,9 +284,9 @@ def test_negative_vertex_count_is_refused(call):
 
 
 def test_sweep_inline_condition_check_matches_api():
-    # the peel lemma, as the sweeps' gates and the loopless witness check
-    # use it: every row tuple on n <= 3 (each is some digraph's out-rows and
-    # another's in-rows), and random digraphs on 4 and 5 vertices
+    # the peel lemma, as the sweeps' gates use it: every row tuple on n <= 3
+    # (each is some digraph's out-rows and another's in-rows), and random
+    # digraphs on 4 and 5 vertices
     rng = random.Random(17)
     digraphs = [Digraph.from_arc_mask(n, m) for n in range(4) for m in range(1 << n * n)]
     for _ in range(400):
@@ -303,10 +306,6 @@ def test_sweep_inline_condition_check_matches_api():
 INTERVAL_ORDER_COUNTS = [1, 1, 3, 19, 207, 3451, 81663, 2602699, 107477247]   # A079144
 LEVEL_MATRIX_COUNTS = [1, 2, 8, 46, 352, 3394]
 FISHBURN_COUNTS = [1, 1, 2, 5, 15, 53, 217, 1014, 5335, 31240]    # OEIS A022493
-
-
-def rep_mask(n, out):
-    return sum(row << v * n for v, row in enumerate(out))
 
 
 def relabelings(n, mask):
@@ -362,7 +361,7 @@ def test_level_matrix_representatives_stand_for_their_weight_in_labeled_digraphs
         for n in range(5 if loopless else 4):
             seen = set()
             for weight, out, inc in level_matrices(n, loopless):
-                d = Digraph.from_arc_mask(n, rep_mask(n, out))
+                d = Digraph.from_arc_mask(n, rows_mask(n, out))
                 assert list(inc) == list(d.in_masks)
                 labeled = relabelings(n, d.arc_mask())
                 assert len(labeled) == weight and not labeled & seen
@@ -383,7 +382,7 @@ def test_least_relabeled_mask_matches_brute_force():
             # few distinct rows, so that twins occur
             rows = [rng.getrandbits(n) for _ in range(2)]
             out = [rng.choice(rows) for _ in range(n)]
-            d = Digraph.from_arc_mask(n, rep_mask(n, out))
+            d = Digraph.from_arc_mask(n, rows_mask(n, out))
             least = min(relabelings(n, d.arc_mask()))
             assert least_relabeled_mask(n, d.out_masks, d.in_masks) == least
 
@@ -496,7 +495,7 @@ def semiorder_tests_expected(n, use_cce):
     semi = oracles.semiorder_mask_set(n)
     done, tests = set(), 0
     for _, out, _ in level_matrices(n, True):
-        mask = rep_mask(n, out)
+        mask = rows_mask(n, out)
         edges = derived_edges(Digraph.from_arc_mask(n, mask), use_cce)
         canon = canonical_form(SimpleGraph(n, edges))
         if canon not in done:
@@ -542,7 +541,7 @@ def test_family_sweep_computes_each_canonical_form_once(monkeypatch):
     expected = {}
     for use_cce, q_min in ((True, 2), (False, 1)):
         shapes = _kr_iq_shapes(n, q_min)
-        reps = (Digraph.from_arc_mask(n, rep_mask(n, out)) for _, out, _ in
+        reps = (Digraph.from_arc_mask(n, rows_mask(n, out)) for _, out, _ in
                 level_matrices(n, True))
         adjacencies = {frozenset(derived_edges(d, use_cce)) for d in reps}
         expected[use_cce] = (shapes, len(adjacencies))
@@ -572,7 +571,8 @@ def test_explore_computes_each_canonical_form_once(monkeypatch):
     digraphs = map(functools.partial(Digraph.from_arc_mask, n), range(1 << n * n))
     nested = [d for d in digraphs if oracles.condition_oracle(d, "C", 2)]
     reps = [
-        Digraph.from_arc_mask(n, rep_mask(n, out)) for _, out, _ in level_matrices(n, False)
+        Digraph.from_arc_mask(n, rows_mask(n, out))
+        for _, out, _ in level_matrices(n, False)
     ]
     expected = {}
     for problem, (member, derived) in EXPLORE_P2.items():
@@ -597,7 +597,7 @@ def test_explore_p2_classes_match_the_labeled_gated_scan():
             report = explore_open_problem(problem, 2, n)
             for section, (kinds, sweep) in sections.items():
                 filt = EnumerationFilter(n)
-                _, classes = enumeration._run_scan(sweep, filt, 2, kinds)
+                classes = enumeration._run_scan(sweep, filt, 2, kinds)
                 witnesses = report.sections[section]
                 assert {c.canonical: c.witness.arc_mask() for c in witnesses} == classes
 
@@ -666,8 +666,9 @@ def flagged(n, p, mask):
     return three_arcs and {"C", "Cp"} <= conditions_met(n, mask, p)
 
 
-def flag_three_arcs(n, p, mask, out, inc):
-    return "at least 3 arcs, C and C'" if flagged(n, p, mask) else None
+def flag_three_arcs(p, out, inc):
+    n = len(out)
+    return "at least 3 arcs, C and C'" if flagged(n, p, rows_mask(n, out)) else None
 
 
 def test_acyclic_counterexample_is_least_mask(monkeypatch):
@@ -710,9 +711,8 @@ def test_theorem_checker_sees_exactly_the_digraphs_meeting_c_and_c_prime(monkeyp
     # digraphs with two arcs and unnested rows, the two-arc matchings
     seen = []
 
-    def record(n, p, mask, out, inc):
-        assert mask == rep_mask(n, out)
-        seen.append(mask)
+    def record(p, out, inc):
+        seen.append(rows_mask(len(out), out))
 
     def loopless_masks(n):
         return [m for m in range(1 << (n * n)) if Digraph.from_arc_mask(n, m).is_loopless()]
@@ -774,8 +774,8 @@ def unsorted_classes(name, n, loopless):
     """The degree pairs of the level matrices whose representative is not
     its least relabeling; 8 of them for props at n = 4."""
     targets = sorted({
-        degree_pairs(n, rep_mask(n, out)) for _, out, _ in level_matrices(n, loopless)
-        if rep_mask(n, out) != min(relabelings(n, rep_mask(n, out)))
+        degree_pairs(n, rows_mask(n, out)) for _, out, _ in level_matrices(n, loopless)
+        if rows_mask(n, out) != min(relabelings(n, rows_mask(n, out)))
     })
     assert targets
     return random.Random(4).sample(targets, 8) if (name, n) == ("props", 4) else targets
@@ -797,8 +797,9 @@ def test_p2_sweep_reports_the_least_labeled_failing_mask(name, monkeypatch):
                     least[key] = m
         # each target class alone, then all of them: the least of their masks
         for flagged_keys in [[target] for target in targets] + [targets]:
-            def flag_targets(n, p, mask, out, inc):
-                flag = p == 2 and degree_pairs(n, mask) in flagged_keys
+            def flag_targets(p, out, inc):
+                mask = rows_mask(len(out), out)
+                flag = p == 2 and degree_pairs(len(out), mask) in flagged_keys
                 return "target class" if flag else None
 
             monkeypatch.setitem(_CHECKERS, sweep, flag_targets)
@@ -866,7 +867,7 @@ def test_theorem_checkers_pass_every_two_arc_matching():
             for mask in two_arc_matchings(n, flags):
                 d = Digraph.from_arc_mask(n, mask)
                 for sweep in ("core_shape", "clique"):
-                    assert _CHECKERS[sweep](n, 3, mask, d.out_masks, d.in_masks) is None
+                    assert _CHECKERS[sweep](3, d.out_masks, d.in_masks) is None
 
 
 def test_clique_flags_at_p3_only_what_it_flags_at_p2():
@@ -876,9 +877,8 @@ def test_clique_flags_at_p3_only_what_it_flags_at_p2():
     for n in range(6):
         for loopless in (False, True):
             for _, out, inc in level_matrices(n, loopless):
-                mask = rep_mask(n, out)
-                if clique(n, 3, mask, out, inc) is not None:
-                    assert clique(n, 2, mask, out, inc) is not None
+                if clique(3, out, inc) is not None:
+                    assert clique(2, out, inc) is not None
 
 
 P3_CALLS = {
@@ -903,8 +903,9 @@ def test_p3_sweep_reports_the_least_labeled_failing_mask(name, monkeypatch):
                 if {"C", "Cp"} <= conditions_met(n, m, 3):
                     least[key] = m
         for flagged_keys in [[target] for target in targets] + [targets]:
-            def flag(n, p, mask, out, inc):
-                flag = p == 3 and degree_pairs(n, mask) in flagged_keys
+            def flag(p, out, inc):
+                mask = rows_mask(len(out), out)
+                flag = p == 3 and degree_pairs(len(out), mask) in flagged_keys
                 return "flagged" if flag else None
 
             monkeypatch.setitem(_CHECKERS, sweep, flag)
@@ -927,6 +928,26 @@ def test_p2_and_p3_sweeps_never_run_the_labeled_scan(monkeypatch):
         assert verify_theorem_props(n) == SweepOutcome(1 << n * n)
 
 
+def test_sweeps_above_n_never_run_the_labeled_scan(monkeypatch):
+    # at p > n no CCE core has p vertices, so no checker can flag a digraph:
+    # at p >= 4 no chunk runs, and at p <= 3 the class pass steps as before
+    monkeypatch.setattr(enumeration, "_run_scan", reached)
+    steps = []
+
+    def progress(*step):
+        steps.append(step)
+
+    for n in range(1, 7):
+        for p in (n + 1, n + 2):
+            for workers in (1, 2):
+                del steps[:]
+                outcome = verify_theorem_loopless(p, n, workers, progress)
+                assert outcome == SweepOutcome(1 << n * (n - 1)) and outcome.verified
+                outcome = verify_theorem_acyclic(p, n, workers, progress)
+                assert outcome == SweepOutcome(_dag_count(n)) and outcome.verified
+                assert (steps == []) == (p >= 4)
+
+
 def test_p4_sweeps_run_the_labeled_scan(monkeypatch):
     calls, run_scan = [], enumeration._run_scan
 
@@ -947,10 +968,9 @@ def test_clique_checker_flags_a_core_that_is_not_a_clique():
     # CCE edges 0-1, 1-2 and 3-4: a core of 5 vertices, not a clique
     d = Digraph(5, [(0, 3), (1, 3), (1, 4), (2, 4), (3, 0), (3, 1), (4, 1), (4, 2)])
     check = _CHECKERS["clique"]
-    args = (d.arc_mask(), d.out_masks, d.in_masks)
-    assert check(5, 2, *args) == "clique proposition fails at p=2"
-    assert check(5, 3, *args) == "clique proposition fails at p=3"
-    assert check(3, 3, 0, (0, 0, 0), (0, 0, 0)) is None
+    assert check(2, d.out_masks, d.in_masks) == "clique proposition fails at p=2"
+    assert check(3, d.out_masks, d.in_masks) == "clique proposition fails at p=3"
+    assert check(3, (0, 0, 0), (0, 0, 0)) is None
 
 
 def test_verify_rejects_bad_p():

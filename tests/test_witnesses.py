@@ -11,6 +11,7 @@ from ccelab import (
     witness_loopless,
     witness_semiorder,
 )
+from ccelab.caps import DEFAULT_CAPS
 
 
 def test_witness_loopless_exact_arcs_2_2():
@@ -54,9 +55,10 @@ def test_witness_semiorder_rejects_bad_shapes():
 
 
 def test_witnesses_full_range():
-    # every legal shape with r+q <= 8: exact CCE, all condition levels, and
-    # the semiorder witness is recognized back
-    for total in range(4, 9):
+    # every legal shape with r + q up to one past the loopless cap: exact
+    # CCE, all condition levels, and the semiorder witness is recognized
+    # back.  The loopless sweep relies on this for its "if" direction.
+    for total in range(4, DEFAULT_CAPS["loopless"] + 2):
         for r in range(2, total - 1):
             q = total - r
             w = witness_loopless(r, q)
