@@ -11,56 +11,55 @@ import argparse
 import os
 import sys
 from importlib import import_module
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .caps import ResourceCapError
-from .conditions import ConditionKind, satisfies_condition
-from .dk import double_competition_number
-from .fileformats import (
-    ParseError,
-    digraph_to_json,
-    dot_derived,
-    dumps,
-    graph_to_json,
-    intervals_to_json,
-    parse_digraph,
-    parse_graph,
-    semiorder_to_json,
-    serialize_digraph,
-    serialize_graph,
-    serialize_intervals,
-    serialize_semiorder,
-)
-from .graphs import (
-    SimpleGraph,
-    cce_graph,
-    competition_graph,
-    decompose_kr_iq,
-    niche_graph,
-)
+if TYPE_CHECKING:
+    from .graphs import SimpleGraph
 
-# Only verify, explore, witness and recognize need these, so they are imported
-# from the package on first access.  Handlers call them as attributes of this
-# module, at call time, so that a caller may replace them here.
-_DEFERRED = frozenset({
-    "explore_open_problem",
-    "recognize_interval_order",
-    "recognize_semiorder",
-    "verify_theorem_acyclic",
-    "verify_theorem_kr",
-    "verify_theorem_loopless",
-    "verify_theorem_main0",
-    "verify_theorem_props",
-    "witness_loopless",
-    "witness_semiorder",
-})
+# Every name the handlers take from another ccelab module, by module.  A name
+# imports its module on first access, so a process loads only what its own
+# subcommand runs.  Handlers look each name up on this module at call time,
+# as _cli.<name>, so that a caller may replace it here.
+_IMPORTS = {
+    "caps": ("ResourceCapError",),
+    "conditions": ("ConditionKind", "satisfies_condition"),
+    "dk": ("double_competition_number",),
+    "enumeration": (
+        "explore_open_problem",
+        "verify_theorem_acyclic",
+        "verify_theorem_kr",
+        "verify_theorem_loopless",
+        "verify_theorem_main0",
+        "verify_theorem_props",
+    ),
+    "fileformats": (
+        "ParseError",
+        "digraph_to_json",
+        "dot_derived",
+        "dumps",
+        "graph_to_json",
+        "intervals_to_json",
+        "parse_digraph",
+        "parse_graph",
+        "semiorder_to_json",
+        "serialize_digraph",
+        "serialize_graph",
+        "serialize_intervals",
+        "serialize_semiorder",
+    ),
+    "graphs": ("cce_graph", "competition_graph", "decompose_kr_iq", "niche_graph"),
+    "orders": ("recognize_interval_order", "recognize_semiorder"),
+    "witnesses": ("witness_loopless", "witness_semiorder"),
+}
+_MODULE_OF = {name: module for module, names in _IMPORTS.items() for name in names}
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    if name not in _DEFERRED:
+    module = _MODULE_OF.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(__package__), name)
+    value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
     return value
 
 
@@ -70,11 +69,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CAP = 4
 
-_DERIVES = {
-    "competition": competition_graph,
-    "cce": cce_graph,
-    "niche": niche_graph,
-}
+# the --kind choices, each derived by <kind>_graph
+_DERIVES = ("cce", "competition", "niche")
 
 
 def _read(path: str) -> str:
@@ -88,7 +84,12 @@ def _write(path: str, text: str) -> None:
 
 
 def _workers(args) -> int:
-    return args.threads or os.cpu_count() or 1
+    """--threads, or for 0 the number of CPUs this process may run on."""
+    if args.threads:
+        return args.threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _emit(args, payload: dict, text: str, out: Optional[str] = None) -> None:
@@ -99,13 +100,13 @@ def _emit(args, payload: dict, text: str, out: Optional[str] = None) -> None:
     if out:
         _write(out, text)
     if args.json:
-        sys.stdout.write(dumps(payload))
+        sys.stdout.write(_cli.dumps(payload))
     elif not out:
         sys.stdout.write(text)
 
 
 def _shape_label(g: SimpleGraph) -> str:
-    shape = decompose_kr_iq(g)
+    shape = _cli.decompose_kr_iq(g)
     if shape is not None:
         if shape.r == 0:
             return f"I_{shape.q}"
@@ -119,21 +120,21 @@ def _shape_label(g: SimpleGraph) -> str:
 
 
 def _cmd_derive(args) -> int:
-    d = parse_digraph(_read(args.infile))
-    g = _DERIVES[args.kind](d)
-    _write(args.out, serialize_graph(g))
+    d = _cli.parse_digraph(_read(args.infile))
+    g = getattr(_cli, f"{args.kind}_graph")(d)
+    _write(args.out, _cli.serialize_graph(g))
     if args.dot:
-        _write(args.dot, dot_derived(d, g, args.kind))
-    payload = {"kind": args.kind, "digraph": digraph_to_json(d),
-               "derived": graph_to_json(g)}
+        _write(args.dot, _cli.dot_derived(d, g, args.kind))
+    payload = {"kind": args.kind, "digraph": _cli.digraph_to_json(d),
+               "derived": _cli.graph_to_json(g)}
     _emit(args, payload, "")            # the graph went to --out: no text
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    d = parse_digraph(_read(args.infile))
-    kind = ConditionKind(args.condition)
-    report = satisfies_condition(d, kind, args.p)
+    d = _cli.parse_digraph(_read(args.infile))
+    kind = _cli.ConditionKind(args.condition)
+    report = _cli.satisfies_condition(d, kind, args.p)
     witness = None if report.satisfied else sorted(report.violating_set)
     verdict = "satisfied" if report.satisfied else (
         "violated by {" + ", ".join(map(str, witness)) + "}"
@@ -145,13 +146,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
-    d = parse_digraph(_read(args.infile))
+    d = _cli.parse_digraph(_read(args.infile))
     if args.model == "semiorder":
         rep = _cli.recognize_semiorder(d)
-        to_json, serialize = semiorder_to_json, serialize_semiorder
+        to_json, serialize = _cli.semiorder_to_json, _cli.serialize_semiorder
     else:
         rep = _cli.recognize_interval_order(d)
-        to_json, serialize = intervals_to_json, serialize_intervals
+        to_json, serialize = _cli.intervals_to_json, _cli.serialize_intervals
     if rep is None:
         _emit(args, {"model": args.model, "present": False},
               f"no {args.model} representation exists\n")
@@ -172,23 +173,23 @@ def _cmd_witness(args) -> int:
     r, q = _parse_shape(args.shape)
     if args.model == "loopless":
         d = _cli.witness_loopless(r, q)
-        text, fields = serialize_digraph(d), digraph_to_json(d)
+        text, fields = _cli.serialize_digraph(d), _cli.digraph_to_json(d)
     else:
         rep = _cli.witness_semiorder(r, q)
-        text, fields = serialize_semiorder(rep), semiorder_to_json(rep)
+        text, fields = _cli.serialize_semiorder(rep), _cli.semiorder_to_json(rep)
     _emit(args, {"model": args.model, "shape": [r, q], **fields}, text, args.out)
     return EXIT_OK
 
 
 def _cmd_dk(args) -> int:
-    g = parse_graph(_read(args.infile))
-    result = double_competition_number(g, args.kmax)
+    g = _cli.parse_graph(_read(args.infile))
+    result = _cli.double_competition_number(g, args.kmax)
     if result is None:
         _emit(args, {"dk": None, "kmax": args.kmax},
               f"dk > {args.kmax} (no realization within the searched strata)\n")
         return EXIT_NEGATIVE
-    payload = {"dk": result.k, "witness": digraph_to_json(result.witness)}
-    witness = serialize_digraph(result.witness)
+    payload = {"dk": result.k, "witness": _cli.digraph_to_json(result.witness)}
+    witness = _cli.serialize_digraph(result.witness)
     if args.witness_out:
         # written before any stdout, so an unwritable path prints nothing
         _write(args.witness_out, witness)
@@ -225,8 +226,8 @@ def _cmd_verify(args) -> int:
         text = f"{theorem}: shape K_{r} u I_{q} realized by no {family}\n"
     else:
         digraph, tag = outcome.counterexample
-        _write(args.report, serialize_digraph(digraph))
-        payload["counterexample"] = {"tag": tag, "digraph": digraph_to_json(digraph)}
+        _write(args.report, _cli.serialize_digraph(digraph))
+        payload["counterexample"] = {"tag": tag, "digraph": _cli.digraph_to_json(digraph)}
         text = f"{theorem}: counterexample found ({tag}); written to {args.report}\n"
     _emit(args, payload, text)
     return EXIT_OK if outcome.verified else EXIT_NEGATIVE
@@ -249,8 +250,8 @@ def _cmd_explore(args) -> int:
         "problem": report.problem, "p": report.p, "n": report.n,
         "checked": report.checked,
         "sections": {
-            name: [{"graph": graph_to_json(c.graph),
-                    "witness": digraph_to_json(c.witness)} for c in classes]
+            name: [{"graph": _cli.graph_to_json(c.graph),
+                    "witness": _cli.digraph_to_json(c.witness)} for c in classes]
             for name, classes in sections
         },
     }
@@ -275,45 +276,37 @@ def _with_json(p: argparse.ArgumentParser, handler) -> None:
     p.set_defaults(func=handler)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ccelab",
-        description=(
-            "Competition, competition-common-enemy and niche graphs of "
-            "digraphs: derived graphs, neighborhood-chain conditions, order "
-            "recognition, double competition numbers, and exhaustive "
-            "verification sweeps at small vertex counts."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("derive", help="compute a derived graph of a digraph")
-    p.add_argument("--kind", choices=sorted(_DERIVES), required=True)
+def _fill_derive(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", choices=_DERIVES, required=True)
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--dot", metavar="FILE", help="also write a DOT rendering")
     _with_json(p, _cmd_derive)
 
-    p = sub.add_parser("check", help="check one condition at one level p")
-    p.add_argument("--condition", choices=[k.value for k in ConditionKind],
+
+def _fill_check(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--condition", choices=[k.value for k in _cli.ConditionKind],
                    required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     _with_json(p, _cmd_check)
 
-    p = sub.add_parser("recognize", help="find a semiorder or interval representation")
+
+def _fill_recognize(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=["semiorder", "interval"], required=True)
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE")
     _with_json(p, _cmd_recognize)
 
-    p = sub.add_parser("witness", help="emit a constructive K_r u I_q witness")
+
+def _fill_witness(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", required=True, metavar="R,Q")
     p.add_argument("--model", choices=["loopless", "semiorder"], default="loopless")
     p.add_argument("--out", metavar="FILE")
     _with_json(p, _cmd_witness)
 
-    p = sub.add_parser("dk", help="double competition number by exact search")
+
+def _fill_dk(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--witness-out", metavar="FILE")
@@ -321,7 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="ignored: dk runs in one process")
     _with_json(p, _cmd_dk)
 
-    p = sub.add_parser("verify", help="run a theorem-verification sweep")
+
+def _fill_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--theorem",
         choices=["kr", "main0", "loopless", "acyclic", "props"],
@@ -340,7 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "main0, kr and props, one per level count)")
     _with_json(p, _cmd_verify)
 
-    p = sub.add_parser("explore", help="survey an open problem's graph classes")
+
+def _fill_explore(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", type=int, choices=[1, 2, 3], required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -348,18 +343,62 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="worker processes (0 = one per CPU) at p >= 3")
     _with_json(p, _cmd_explore)
 
+
+# (name, help line, fill): the top-level parser lists every subcommand, and
+# fill adds a subcommand's arguments and handler when its parser runs
+_SUBCOMMANDS = (
+    ("derive", "compute a derived graph of a digraph", _fill_derive),
+    ("check", "check one condition at one level p", _fill_check),
+    ("recognize", "find a semiorder or interval representation", _fill_recognize),
+    ("witness", "emit a constructive K_r u I_q witness", _fill_witness),
+    ("dk", "double competition number by exact search", _fill_dk),
+    ("verify", "run a theorem-verification sweep", _fill_verify),
+    ("explore", "survey an open problem's graph classes", _fill_explore),
+)
+
+
+class _Subparser(argparse.ArgumentParser):
+    """A subcommand's parser, filled with its arguments only when it parses,
+    so that a process builds no other subcommand's arguments."""
+
+    def __init__(self, *args, fill, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ccelab",
+        description=(
+            "Competition, competition-common-enemy and niche graphs of "
+            "digraphs: derived graphs, neighborhood-chain conditions, order "
+            "recognition, double competition numbers, and exhaustive "
+            "verification sweeps at small vertex counts."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
+    for name, help_line, fill in _SUBCOMMANDS:
+        sub.add_parser(name, help=help_line, fill=fill)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # an except clause looks up its class only when an exception reaches it,
+    # so a command that succeeds loads neither module defining these two
     try:
         return args.func(args)
-    except ParseError as exc:
+    except _cli.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceCapError as exc:
+    except _cli.ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except OSError as exc:

@@ -1,7 +1,10 @@
+import ast
 import json
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -357,20 +360,138 @@ def test_each_sweep_above_its_cap_exits_4_before_sweeping(
     )
 
 
-def test_handlers_call_the_module_attributes(workdir, monkeypatch, capsys):
-    from ccelab import ExploreReport, cli
+# every name a handler looks up on the cli module at call time, with a command
+# that calls it and that command's exit code
+HANDLER_LOOKUPS = {
+    **{
+        f"verify_theorem_{theorem}": (
+            ["verify", "--theorem", theorem, "--n", "3", "--p", "2", "--json"], 0
+        )
+        for theorem in ("kr", "main0", "loopless", "acyclic", "props")
+    },
+    "explore_open_problem": (
+        ["explore", "--problem", "1", "--p", "2", "--n", "3", "--threads", "1"], 0
+    ),
+    "double_competition_number": (["dk", "--in", "k2.graph", "--kmax", "3"], 0),
+    "satisfies_condition": (
+        ["check", "--condition", "C", "--p", "2", "--in", "twocycle.digraph"], 1
+    ),
+    "recognize_semiorder": (
+        ["recognize", "--model", "semiorder", "--in", "chain.digraph"], 0
+    ),
+    "recognize_interval_order": (
+        ["recognize", "--model", "interval", "--in", "chain.digraph"], 0
+    ),
+    "witness_loopless": (["witness", "--shape", "2,2"], 0),
+    "witness_semiorder": (["witness", "--shape", "2,2", "--model", "semiorder"], 0),
+}
 
-    def explore(problem, p, n, workers):
-        return ExploreReport(problem, p, n, checked=7, sections={})
 
-    monkeypatch.setattr(cli, "explore_open_problem", explore)
-    assert cli.main(["explore", "--problem", "1", "--p", "2", "--n", "3", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["checked"] == 7
+@pytest.mark.parametrize("name", sorted(HANDLER_LOOKUPS))
+def test_handlers_call_the_module_attributes(name, workdir, monkeypatch, capsys):
+    # a function replaced on the cli module, as a tracer wraps it, is the one
+    # the handler calls
+    from ccelab import cli
 
-    monkeypatch.setattr(cli, "double_competition_number", lambda g, k_max: None)
-    args = ["dk", "--in", str(workdir / "k2.graph"), "--kmax", "3", "--json"]
-    assert cli.main(args) == 1
-    assert json.loads(capsys.readouterr().out) == {"dk": None, "kmax": 3}
+    calls = []
+    real = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    monkeypatch.chdir(workdir)
+    args, code = HANDLER_LOOKUPS[name]
+    assert cli.main(args) == code
+    assert calls == [name]
+
+
+def test_zero_threads_means_one_worker_per_usable_cpu(monkeypatch):
+    import argparse
+
+    from ccelab import cli
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._workers(argparse.Namespace(threads=0)) == 1
+    assert cli._workers(argparse.Namespace(threads=3)) == 3
+    # where the OS cannot say which CPUs a process may use, every CPU counts
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+    assert cli._workers(argparse.Namespace(threads=0)) == 5
+
+
+# each subcommand, in the order the top-level help lists them, with its options
+SUBCOMMAND_OPTIONS = {
+    "derive": {"--kind", "--in", "--out", "--dot", "--json"},
+    "check": {"--condition", "--p", "--in", "--json"},
+    "recognize": {"--model", "--in", "--out", "--json"},
+    "witness": {"--shape", "--model", "--out", "--json"},
+    "dk": {"--in", "--kmax", "--witness-out", "--threads", "--json"},
+    "verify": {"--theorem", "--n", "--p", "--report", "--threads", "--progress",
+               "--json"},
+    "explore": {"--problem", "--p", "--n", "--threads", "--json"},
+}
+
+
+def cli_exit(args, capsys, monkeypatch):
+    """(exit code, stdout, stderr) of a cli.main call that argparse ends."""
+    from ccelab import cli
+
+    # argparse wraps to the terminal's width; fix it so the layout is known
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    return (exc.value.code, *capsys.readouterr())
+
+
+def test_top_level_help_lists_every_subcommand(capsys, monkeypatch):
+    code, out, err = cli_exit(["--help"], capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ccelab [-h] {" + ",".join(SUBCOMMAND_OPTIONS) + "}")
+    listed = re.findall(r"^ {4}(\w+) +\S", out, re.MULTILINE)
+    assert listed == list(SUBCOMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMAND_OPTIONS))
+def test_each_subcommand_help_lists_its_options(name, capsys, monkeypatch):
+    code, out, err = cli_exit([name, "--help"], capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: ccelab {name} [-h] ")
+    options = set(re.findall(r"(?<![\w-])--\w[\w-]*", out))
+    assert options == SUBCOMMAND_OPTIONS[name] | {"--help"}
+
+
+USAGE_ERRORS = {
+    "no-subcommand": (
+        [], "ccelab: error: the following arguments are required: command"
+    ),
+    "unknown-subcommand": (
+        ["nope"], "ccelab: error: argument command: invalid choice: 'nope'"
+    ),
+    "bad-theorem": (
+        ["verify", "--theorem", "x", "--n", "3"],
+        "ccelab verify: error: argument --theorem: invalid choice: 'x'",
+    ),
+    "missing-n": (
+        ["verify", "--theorem", "kr"],
+        "ccelab verify: error: the following arguments are required: --n",
+    ),
+    "negative-threads": (
+        ["verify", "--theorem", "main0", "--n", "3", "--threads", "-3"],
+        "ccelab verify: error: argument --threads: must be 0 or more, got -3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2_with_their_message(name, capsys, monkeypatch):
+    args, message = USAGE_ERRORS[name]
+    code, out, err = cli_exit(args, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ccelab")
+    # the last line; argparse words the list of choices differently by version
+    assert err.splitlines()[-1].startswith(message)
 
 
 @pytest.mark.parametrize("args", [
@@ -386,18 +507,19 @@ def test_negative_vertex_count_is_a_usage_error(args, capsys):
 
 
 # Runs each command through cli.main in one fresh process, then prints the
-# exit codes and which of the modules given in argv[2] got loaded.
+# exit codes and which of the modules given in argv[2] got loaded.  It loads
+# no json of its own, so that a probe can tell whether a command does.
 _LOAD_PROBE = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 from ccelab import cli
 codes = []
-for argv in json.loads(sys.argv[1]):
+for argv in ast.literal_eval(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             codes.append(cli.main(argv))
         except SystemExit as exc:
             codes.append(exc.code)
-print(json.dumps([codes, sorted(set(json.loads(sys.argv[2])) & set(sys.modules))]))
+print(repr([codes, sorted(set(ast.literal_eval(sys.argv[2])) & set(sys.modules))]))
 """
 
 
@@ -405,11 +527,11 @@ def load_probe(workdir, commands, modules):
     """[exit codes, the modules loaded] after running the commands in one
     fresh process."""
     r = subprocess.run(
-        [sys.executable, "-c", _LOAD_PROBE, json.dumps(commands), json.dumps(modules)],
+        [sys.executable, "-c", _LOAD_PROBE, repr(commands), repr(modules)],
         capture_output=True, text=True, cwd=workdir,
     )
     assert r.returncode == 0, r.stderr
-    return json.loads(r.stdout)
+    return ast.literal_eval(r.stdout)
 
 
 def test_commands_without_sweeps_load_neither_the_pool_nor_the_sweeps(workdir):
@@ -446,6 +568,27 @@ def test_commands_without_sweeps_load_neither_the_pool_nor_the_sweeps(workdir):
     ):
         command = argv + ["--threads", "2", "--json"]
         assert load_probe(workdir, [command], pool) == [[0], loaded], argv
+
+
+def test_each_command_loads_only_the_modules_it_runs(workdir):
+    import ccelab
+
+    package = Path(ccelab.__file__).parent
+    submodules = sorted(f"ccelab.{path.stem}" for path in package.glob("*.py")
+                        if path.stem != "__init__")
+    # --help builds the parser alone
+    assert load_probe(workdir, [["--help"]], submodules + ["json"]) == [
+        [0], ["ccelab.cli"]
+    ]
+    for argv, module, loaded in (
+        (["dk", "--in", "k2.graph", "--kmax", "3"], "ccelab.conditions", False),
+        (["verify", "--theorem", "main0", "--n", "4"], "ccelab.dk", False),
+        (["check", "--condition", "C", "--p", "2", "--in", "chain.digraph"],
+         "ccelab.conditions", True),
+    ):
+        assert load_probe(workdir, [argv], [module]) == [
+            [0], [module] if loaded else []
+        ], argv
 
 
 @pytest.mark.parametrize("args", [
