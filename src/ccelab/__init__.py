@@ -23,18 +23,13 @@ _EXPORTS = {
     "digraph": ("Digraph",),
     "dk": ("DkResult", "double_competition_number", "is_cce_of_acyclic"),
     "enumeration": (
-        "EnumerationFilter",
         "ExploreClass",
         "ExploreReport",
-        "SweepOutcome",
         "dag_masks",
         "enumerate_digraphs",
         "explore_open_problem",
-        "verify_theorem_acyclic",
         "verify_theorem_kr",
-        "verify_theorem_loopless",
         "verify_theorem_main0",
-        "verify_theorem_props",
     ),
     "graphs": (
         "KrIqShape",
@@ -57,6 +52,13 @@ _EXPORTS = {
         "recognize_interval_order",
         "recognize_semiorder",
         "semiorder_from",
+    ),
+    "theorems": (
+        "EnumerationFilter",
+        "SweepOutcome",
+        "verify_theorem_acyclic",
+        "verify_theorem_loopless",
+        "verify_theorem_props",
     ),
     "witnesses": ("witness_loopless", "witness_semiorder"),
 }

@@ -24,19 +24,11 @@ _IMPORTS = {
     "caps": ("ResourceCapError",),
     "conditions": ("ConditionKind", "satisfies_condition"),
     "dk": ("double_competition_number",),
-    "enumeration": (
-        "explore_open_problem",
-        "verify_theorem_acyclic",
-        "verify_theorem_kr",
-        "verify_theorem_loopless",
-        "verify_theorem_main0",
-        "verify_theorem_props",
-    ),
+    "enumeration": ("explore_open_problem", "verify_theorem_kr", "verify_theorem_main0"),
     "fileformats": (
         "ParseError",
         "digraph_to_json",
         "dot_derived",
-        "dumps",
         "graph_to_json",
         "intervals_to_json",
         "parse_digraph",
@@ -49,6 +41,11 @@ _IMPORTS = {
     ),
     "graphs": ("cce_graph", "competition_graph", "decompose_kr_iq", "niche_graph"),
     "orders": ("recognize_interval_order", "recognize_semiorder"),
+    "theorems": (
+        "verify_theorem_acyclic",
+        "verify_theorem_loopless",
+        "verify_theorem_props",
+    ),
     "witnesses": ("witness_loopless", "witness_semiorder"),
 }
 _MODULE_OF = {name: module for module, names in _IMPORTS.items() for name in names}
@@ -92,7 +89,7 @@ def _workers(args) -> int:
     return os.cpu_count() or 1
 
 
-def _emit(args, payload: dict, text: str, out: Optional[str] = None) -> None:
+def _emit(args, payload: Optional[dict], text: str, out: Optional[str] = None) -> None:
     """Write a command's result: the text to out when a file flag names one,
     then the payload as JSON on stdout under --json, else the text to stdout
     when no file took it.  An unwritable file thus fails before any
@@ -100,7 +97,9 @@ def _emit(args, payload: dict, text: str, out: Optional[str] = None) -> None:
     if out:
         _write(out, text)
     if args.json:
-        sys.stdout.write(_cli.dumps(payload))
+        import json
+
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     elif not out:
         sys.stdout.write(text)
 
@@ -246,15 +245,18 @@ def _cmd_explore(args) -> int:
             arcs = " ".join(f"{u}->{v}" for u, v in sorted(c.witness.arcs))
             label = _shape_label(c.graph)
             lines.append(f"  {label}   witness: {arcs or '(no arcs)'}\n")
-    payload = {
-        "problem": report.problem, "p": report.p, "n": report.n,
-        "checked": report.checked,
-        "sections": {
-            name: [{"graph": _cli.graph_to_json(c.graph),
-                    "witness": _cli.digraph_to_json(c.witness)} for c in classes]
-            for name, classes in sections
-        },
-    }
+    # the payload converts every class to JSON fields: built for --json only
+    payload = None
+    if args.json:
+        payload = {
+            "problem": report.problem, "p": report.p, "n": report.n,
+            "checked": report.checked,
+            "sections": {
+                name: [{"graph": _cli.graph_to_json(c.graph),
+                        "witness": _cli.digraph_to_json(c.witness)} for c in classes]
+                for name, classes in sections
+            },
+        }
     _emit(args, payload, "".join(lines))
     return EXIT_OK
 
@@ -263,7 +265,7 @@ def _cmd_explore(args) -> int:
 
 
 def _threads(text: str) -> int:
-    """A --threads value: a worker count, or 0 for one per CPU."""
+    """A --threads value: a worker count, or 0 for one per usable CPU."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
@@ -327,8 +329,9 @@ def _fill_verify(p: argparse.ArgumentParser) -> None:
                         "ignore it, and their --json reports p as null")
     p.add_argument("--report", default="counterexample.digraph", metavar="FILE")
     p.add_argument("--threads", type=_threads, default=0,
-                   help="worker processes (0 = one per CPU) for loopless and "
-                        "acyclic at p >= 4; other sweeps ignore it")
+                   help="worker processes (0 = one per CPU this process may "
+                        "run on) for loopless and acyclic at p >= 4; other "
+                        "sweeps ignore it")
     p.add_argument("--progress", action="store_true",
                    help="print finished chunks to stderr (at p <= 3 and for "
                         "main0, kr and props, one per level count)")
@@ -340,7 +343,8 @@ def _fill_explore(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--threads", type=_threads, default=0,
-                   help="worker processes (0 = one per CPU) at p >= 3")
+                   help="worker processes (0 = one per CPU this process may "
+                        "run on) at p >= 3")
     _with_json(p, _cmd_explore)
 
 

@@ -1,4 +1,4 @@
-"""Text file formats, DOT export, and JSON codecs.
+"""Text file formats, DOT export, and the JSON fields of each object.
 
 Formats are line-oriented and human-diffable:
 
@@ -15,7 +15,6 @@ every object this package produces.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
@@ -242,10 +241,6 @@ def intervals_to_json(rep: IntervalRep) -> dict:
     return {
         "intervals": [[format_value(lo), format_value(hi)] for lo, hi in rep.intervals]
     }
-
-
-def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # -- DOT export ------------------------------------------------------------------

@@ -296,7 +296,7 @@ def test_verify_reports_a_missing_shape_without_a_report_file(
 
 
 def test_props_above_its_cap_exits_4_before_sweeping(monkeypatch, capsys):
-    from ccelab import cli, enumeration
+    from ccelab import cli, enumeration, theorems
     from ccelab.caps import CAP_ENV_VAR
 
     def no_sweep(*args, **kwargs):
@@ -304,7 +304,7 @@ def test_props_above_its_cap_exits_4_before_sweeping(monkeypatch, capsys):
 
     monkeypatch.delenv(CAP_ENV_VAR, raising=False)
     # props sweeps the level matrices, not the labeled generator
-    monkeypatch.setattr(enumeration, "level_matrices", no_sweep)
+    monkeypatch.setattr(theorems, "level_matrices", no_sweep)
     monkeypatch.setattr(enumeration, "_digraph_rows", no_sweep)
     assert cli.main(["verify", "--theorem", "props", "--n", "8"]) == 4
     assert "props enumeration cap 7" in capsys.readouterr().err
@@ -342,7 +342,7 @@ def test_cap_cases_cover_the_cap_table():
 def test_each_sweep_above_its_cap_exits_4_before_sweeping(
     name, workdir, monkeypatch, capsys
 ):
-    from ccelab import cli, dk, enumeration
+    from ccelab import cli, dk, enumeration, theorems
     from ccelab.caps import CAP_ENV_VAR
 
     def no_sweep(*args, **kwargs):
@@ -351,6 +351,7 @@ def test_each_sweep_above_its_cap_exits_4_before_sweeping(
     monkeypatch.delenv(CAP_ENV_VAR, raising=False)
     monkeypatch.setattr(enumeration, "_digraph_rows", no_sweep)
     monkeypatch.setattr(enumeration, "level_matrices", no_sweep)
+    monkeypatch.setattr(theorems, "level_matrices", no_sweep)
     monkeypatch.setattr(dk, "search_realization", no_sweep)
     args, kind, cap = CAP_CASES[name]
     args = [str(workdir / "k2.graph") if a == "K2" else a for a in args]
@@ -548,8 +549,8 @@ def test_commands_without_sweeps_load_neither_the_pool_nor_the_sweeps(workdir):
              "ccelab.orders"]
     assert load_probe(workdir, commands, heavy) == [[0, 0, 0, 0], []]
 
-    # a sweep loads the orders but builds no dataclass and no Fraction, and
-    # the loopless sweep leaves its "if" direction to the witness tests
+    # a sweep builds no dataclass and no Fraction, and the loopless sweep
+    # leaves its "if" direction to the witness tests
     verify = [["verify", "--theorem", theorem, "--n", "4", "--p", "2"]
               for theorem in ("acyclic", "loopless")]
     unused = ["ccelab.witnesses", "dataclasses", "fractions"]
@@ -589,6 +590,22 @@ def test_each_command_loads_only_the_modules_it_runs(workdir):
         assert load_probe(workdir, [argv], [module]) == [
             [0], [module] if loaded else []
         ], argv
+    # the level-matrix sweeps load neither the labeled scan nor what it
+    # gates on, nor fileformats for their --json; at p = 4 the scan runs
+    scan = ["ccelab.conditions", "ccelab.enumeration", "ccelab.fileformats",
+            "ccelab.orders"]
+    for argv, loaded in [
+        (["verify", "--theorem", theorem, "--n", "4", "--p", p], [])
+        for theorem in ("loopless", "acyclic") for p in ("2", "3")
+    ] + [
+        (["verify", "--theorem", "props", "--n", "3"], []),
+        (["verify", "--theorem", "loopless", "--n", "4", "--p", "4"],
+         ["ccelab.conditions", "ccelab.enumeration", "ccelab.orders"]),
+    ]:
+        assert load_probe(workdir, [argv + ["--json"]], scan) == [[0], loaded], argv
+    # text-mode explore converts nothing to JSON
+    explore = ["explore", "--problem", "3", "--p", "2", "--n", "3"]
+    assert load_probe(workdir, [explore], ["ccelab.fileformats", "json"]) == [[0], []]
 
 
 @pytest.mark.parametrize("args", [

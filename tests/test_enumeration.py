@@ -22,14 +22,12 @@ from ccelab import (
     verify_theorem_main0,
     verify_theorem_props,
 )
-from ccelab import dk, enumeration
+from ccelab import dk, enumeration, theorems
 from ccelab.caps import CAP_ENV_VAR, check_cap
 from ccelab.conditions import ConditionKind, peel_left
 from ccelab.digraph import rows_mask
 from ccelab.enumeration import (
-    _CHECKERS,
     _condition_gate,
-    _dag_count,
     _digraph_rows,
     _family_sweep,
     _first_rows,
@@ -44,6 +42,7 @@ from ccelab.graphs import (
 )
 from ccelab.levels import least_relabeled_mask, level_matrices
 from ccelab.orders import interval_feasible_masks
+from ccelab.theorems import _CHECKERS, _dag_count
 
 import oracles
 
@@ -259,6 +258,7 @@ def test_each_entry_point_checks_its_cap_before_generating(name, monkeypatch):
     monkeypatch.setenv(CAP_ENV_VAR, "3")
     monkeypatch.setattr(enumeration, "_digraph_rows", reached)
     monkeypatch.setattr(enumeration, "level_matrices", reached)
+    monkeypatch.setattr(theorems, "level_matrices", reached)
     monkeypatch.setattr(dk, "search_realization", reached)
     search = "search" if kind == "dk" else "enumeration"
     with pytest.raises(ResourceCapError, match=f"{kind} {search} cap 3"):
@@ -625,13 +625,13 @@ def test_verify_props_small():
 
 
 def test_props_runs_one_pass_at_p2(monkeypatch):
-    calls, violation = [], enumeration._violation
+    calls, violation = [], theorems._violation
 
     def spy(sweep, filt, p, progress, workers=1):
         calls.append((sweep, filt, p))
         return violation(sweep, filt, p, progress, workers)
 
-    monkeypatch.setattr(enumeration, "_violation", spy)
+    monkeypatch.setattr(theorems, "_violation", spy)
     for n in range(5):
         del calls[:]
         assert verify_theorem_props(n) == SweepOutcome(1 << n * n)
